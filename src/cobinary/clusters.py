@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .errors import NotACluster, NotARoot
+from .errors import NotACluster, NotARoot, VerificationFailed
 from .exchange import euler_inverse, euler_matrix
 from .regions import CMatrix
 from .roots import Root, is_root_vector, positive_roots, root_from_vector
@@ -55,7 +55,8 @@ class AlmostPositiveRoot:
 def projective_roots(epsilon: Sequence[int]) -> tuple[IntVector, ...]:
     """Rows of the inverse Euler matrix; all entries are nonnegative."""
     rows = euler_inverse(epsilon)
-    assert all(x >= 0 for row in rows for x in row)
+    if any(x < 0 for row in rows for x in row):
+        raise VerificationFailed(f"inverse Euler matrix {rows} has a negative entry")
     return rows
 
 
@@ -267,9 +268,9 @@ def classical_c_matrix(
     if len(eps) == 1:
         return CMatrix(())
     vt = linalg.as_matrix(cluster.columns)  # rows of V^t are the columns of V
-    e = euler_matrix(eps)
-    c_rows = linalg.inverse_integer(linalg.mat_mul(vt, e))
-    if linalg.mat_mul(linalg.mat_mul(vt, e), c_rows) != linalg.identity(len(vt)):
+    vt_e = linalg.mat_mul(vt, euler_matrix(eps))
+    c_rows = linalg.inverse_integer(vt_e)
+    if linalg.mat_mul(vt_e, c_rows) != linalg.identity(len(vt)):
         raise NotACluster("V^t E C = I failed after exact inversion")
     cmat = CMatrix(linalg.transpose(c_rows))
     for col in cmat.columns:

@@ -24,7 +24,6 @@ from typing import Iterator, Sequence
 from . import linalg
 from .clusters import (
     ClusterMatrix,
-    classical_c_matrix,
     cluster_violation,
     enumerate_clusters,
     stability_domain_contains,
@@ -101,35 +100,15 @@ class BijectionWork:
     tree: MixedCobinaryTree
 
 
-def cluster_to_tree_work(
-    cluster: ClusterMatrix, epsilon: Sequence[int]
+def _decode(
+    cluster: ClusterMatrix,
+    eps: tuple[int, ...],
+    vt_e: linalg.IntMatrix,
+    c_rows: linalg.IntMatrix,
 ) -> BijectionWork:
-    """Run the constructive correspondence and keep the work shown.
-
-    Each row of V^t E is lifted through f_lift and shifted to have minimum
-    0; the rows are summed and the sum is ranked (ascending index on ties)
-    into the permutation that rebuilds the tree.  The result must satisfy
-    V^t E C(T) = I; if the first ranking fails, every other tie-break is
-    tried, and the edge labels are taken from the verified column pairing.
-    """
-    eps = as_sign_sequence(epsilon)
-    n = len(eps)
-    if n == 1:
-        if cluster.columns:
-            raise VerificationFailed("a single node pairs with the empty cluster")
-        tree = tree_from_permutation((1,), eps)
-        return BijectionWork(
-            eps, cluster, (), (), (1,), (1,), ((1,),), CMatrix(()), tree
-        )
-    vt = linalg.as_matrix(cluster.columns)
-    e = euler_matrix(eps)
-    vt_e = linalg.mat_mul(vt, e)
+    """The decode of :func:`cluster_to_tree_work`, from V^t E and C's rows."""
     lifted = tuple(_shift_to_min_zero(f_lift(row)) for row in vt_e)
     total = tuple(sum(col) for col in zip(*lifted))
-    try:
-        c_rows = linalg.inverse_integer(vt_e)
-    except (SingularV, NonIntegralResult) as exc:
-        raise VerificationFailed(f"V^t E is not invertible over Z: {exc}") from exc
     expected = CMatrix(linalg.transpose(c_rows))
     expected_triples = []
     for col in expected.columns:
@@ -155,6 +134,36 @@ def cluster_to_tree_work(
     )
 
 
+def cluster_to_tree_work(
+    cluster: ClusterMatrix, epsilon: Sequence[int]
+) -> BijectionWork:
+    """Run the constructive correspondence and keep the work shown.
+
+    V^t E is inverted exactly into C, the tree's c-matrix.  The decode that
+    follows is shared with :func:`tree_to_cluster`: each row of V^t E is
+    lifted through f_lift and shifted to have minimum 0; the rows are summed
+    and the sum is ranked (ascending index on ties) into the permutation
+    that rebuilds the tree, whose edges must be the columns of C.  If the
+    first ranking fails, every other tie-break is tried, and the edge labels
+    are taken from the matched columns.
+    """
+    eps = as_sign_sequence(epsilon)
+    n = len(eps)
+    if n == 1:
+        if cluster.columns:
+            raise VerificationFailed("a single node pairs with the empty cluster")
+        tree = tree_from_permutation((1,), eps)
+        return BijectionWork(
+            eps, cluster, (), (), (1,), (1,), ((1,),), CMatrix(()), tree
+        )
+    vt_e = linalg.mat_mul(linalg.as_matrix(cluster.columns), euler_matrix(eps))
+    try:
+        c_rows = linalg.inverse_integer(vt_e)
+    except (SingularV, NonIntegralResult) as exc:
+        raise VerificationFailed(f"V^t E is not invertible over Z: {exc}") from exc
+    return _decode(cluster, eps, vt_e, c_rows)
+
+
 def cluster_to_tree(
     cluster: ClusterMatrix, epsilon: Sequence[int]
 ) -> MixedCobinaryTree:
@@ -169,8 +178,9 @@ def cluster_to_tree(
 def tree_to_cluster(tree: MixedCobinaryTree) -> ClusterMatrix:
     """The cluster matrix V = (C(T)^{-1} E^{-1})^t paired with the tree.
 
-    Column k pairs with edge k; the result always passes the cluster test
-    and reconstructs the tree, so failures indicate corrupted input.
+    Column k pairs with edge k.  The result must pass the cluster test and
+    decode back to the tree; V^t E is C(T)^{-1}, so the decode reuses both
+    matrices without inverting again.  Failures indicate corrupted input.
     """
     eps = tree.epsilon
     if tree.n == 1:
@@ -182,7 +192,7 @@ def tree_to_cluster(tree: MixedCobinaryTree) -> ClusterMatrix:
     problem = cluster_violation(cluster, eps)
     if problem is not None:
         raise NotACluster(f"derived columns fail the cluster test: {problem}")
-    if cluster_to_tree(cluster, eps) != tree:
+    if _decode(cluster, eps, c_inv, cmat.rows).tree != tree:
         raise NotACluster("derived cluster does not reconstruct the tree")
     return cluster
 
@@ -253,17 +263,17 @@ def bijection_report(epsilon: Sequence[int]) -> list[dict]:
     eps = as_sign_sequence(epsilon)
     report = []
     for cluster in enumerate_clusters(eps):
-        tree = cluster_to_tree(cluster, eps)
-        paired = tree_to_cluster(tree)
+        work = cluster_to_tree_work(cluster, eps)
+        paired = tree_to_cluster(work.tree)
         ok = (
-            verify_pairing_identity(tree, paired)
+            verify_pairing_identity(work.tree, paired)
             and paired.key() == cluster.key()
         )
         report.append(
             {
                 "cluster": cluster,
-                "tree": tree,
-                "c_matrix": classical_c_matrix(cluster, eps),
+                "tree": work.tree,
+                "c_matrix": work.c_matrix,  # equals classical_c_matrix(cluster, eps)
                 "verified": ok,
             }
         )

@@ -90,13 +90,7 @@ def x_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
 
 def exchange_matrix(tree: MixedCobinaryTree) -> ExchangeMatrix:
     """[C^t X C ; C] for the tree's c-matrix C.  Empty for a single node."""
-    if tree.n == 1:
-        return ExchangeMatrix((), ())
-    cmat = c_matrix(tree)
-    c_rows = cmat.rows
-    x = x_matrix(tree.epsilon)
-    b = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c_rows), x), c_rows)
-    return ExchangeMatrix(b, c_rows)
+    return exchange_from_c(c_matrix(tree), tree.epsilon)
 
 
 def fz_mutate(btilde: ExchangeMatrix, k: int) -> ExchangeMatrix:

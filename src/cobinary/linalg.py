@@ -1,11 +1,11 @@
 """Small exact linear algebra kernel for integer matrices.
 
-Matrices are immutable tuples of row tuples.  Everything here is exact:
-determinants use fraction-free (Bareiss) elimination, and inverses are
-computed as adjugate over determinant with explicit divisibility checks, so
-a non-integral inverse is detected rather than rounded.  Matrix sizes in
-this library never exceed (n-1) x (n-1) for n around 8, so the cubic and
-quartic algorithms below are more than fast enough.
+Matrices are immutable tuples of row tuples.  Everything here is exact and
+fraction-free (Bareiss): determinants come from integer-preserving
+elimination, and an inverse from one Gauss-Jordan elimination on [M | I]
+that leaves det(M) * M^{-1} in the right-hand block, followed by explicit
+divisibility checks, so a non-integral inverse is detected rather than
+rounded.  Both run in O(n^3) integer operations.
 """
 
 from __future__ import annotations
@@ -90,48 +90,39 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _minor(m: IntMatrix, i: int, j: int) -> IntMatrix:
-    return tuple(
-        tuple(x for cj, x in enumerate(row) if cj != j)
-        for ri, row in enumerate(m)
-        if ri != i
-    )
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Transposed cofactor matrix, so that m @ adjugate(m) == det(m) * I."""
-    n = len(m)
-    return tuple(
-        tuple((-1) ** (i + j) * det(_minor(m, i, j)) for i in range(n))
-        for j in range(n)
-    )
-
-
 def inverse_integer(m: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix, required to be integral.
 
-    Raises SingularV when det is 0 and NonIntegralResult when the inverse
-    exists over the rationals but has a non-integer entry.
+    Fraction-free Gauss-Jordan elimination takes [M | I] to [d I | d M^{-1}],
+    d = +-det(M).  Raises SingularV when det is 0 and NonIntegralResult when
+    the inverse exists over the rationals but has a non-integer entry.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    d = det(m)
-    if d == 0:
-        raise SingularV("matrix is singular")
-    adj = adjugate(m)
-    rows = []
-    for row in adj:
-        out = []
-        for x in row:
-            q, r = divmod(x, d)
-            if r:
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    break
+            else:
+                raise SingularV("matrix is singular")
+        pivot_row, pivot = a[k], a[k][k]
+        for i in range(n):
+            if i != k:  # exact: every entry is a minor of [M | I]
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    for row in a:
+        for x in row[n:]:
+            if x % prev:
                 raise NonIntegralResult(
-                    f"inverse has non-integer entry {Fraction(x, d)}"
+                    f"inverse has non-integer entry {Fraction(x, prev)}"
                 )
-            out.append(q)
-        rows.append(tuple(out))
-    return tuple(rows)
+    return tuple(tuple(x // prev for x in row[n:]) for row in a)
 
 
 def is_skew_symmetric(m: IntMatrix) -> bool:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import TiedCoordinates
+from .errors import TiedCoordinates, VerificationFailed
 from .roots import Root, root_from_vector
 from .trees import (
     MixedCobinaryTree,
@@ -83,7 +83,8 @@ def tree_from_c_matrix(
         root = root_from_vector(col)
         edges.append(SignedEdge(k, root.p, root.q, root.sign))
     tree = make_tree(epsilon, edges)
-    assert c_matrix(tree).columns == cmat.columns
+    if c_matrix(tree).columns != cmat.columns:
+        raise VerificationFailed(f"c-matrix {cmat.columns} does not rebuild its tree")
     return tree
 
 
@@ -124,7 +125,8 @@ def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
     if len(point) != len(epsilon):
         raise ValueError("point and sign sequence must have equal length")
     tree = tree_from_permutation(rank_permutation(point), epsilon)
-    assert region_contains(tree, point, strict=True)
+    if not region_contains(tree, point, strict=True):
+        raise VerificationFailed(f"tree located for x={tuple(x)} misses x")
     return tree
 
 

@@ -55,6 +55,13 @@ def test_projective_rows_two_nodes():
         assert cb.projective_roots(eps) == ((1,),)
 
 
+def test_projective_rows_are_checked_nonnegative(monkeypatch):
+    negative = ((1, -1), (0, 1))
+    monkeypatch.setattr("cobinary.clusters.euler_inverse", lambda eps: negative)
+    with pytest.raises(cb.VerificationFailed, match="negative entry"):
+        cb.projective_roots((1, 1, 1))
+
+
 def test_almost_positive_root_counts():
     for n in range(2, 7):
         for eps in [(1,) * n, (-1, 1) * (n // 2) + (-1,) * (n % 2)]:

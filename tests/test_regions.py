@@ -17,6 +17,7 @@ from conftest import (
     CLU_EPS,
     MUT_C_ROWS,
     MUT_CSTAR_ROWS,
+    MUT_EPS,
     MUT_K,
     all_epsilons,
 )
@@ -94,6 +95,15 @@ def test_non_root_column_is_rejected():
         cb.tree_from_c_matrix(bad, (1, 1, 1, 1))
 
 
+def test_c_matrix_decode_is_checked(mutation_demo_tree, monkeypatch):
+    cmat = cb.c_matrix(mutation_demo_tree)
+    monkeypatch.setattr(
+        "cobinary.regions.c_matrix", lambda tree: cb.CMatrix(linalg.identity(4))
+    )
+    with pytest.raises(cb.VerificationFailed, match="does not rebuild"):
+        cb.tree_from_c_matrix(cmat, MUT_EPS)
+
+
 # ---------------------------------------------------------------------------
 # regions and location
 # ---------------------------------------------------------------------------
@@ -129,6 +139,15 @@ def test_locate_ascending_point_is_staircase():
 
 def test_locate_cluster_demo_point(cluster_demo_tree):
     assert cb.locate_tree((2, 1, 5, 4, 3), CLU_EPS) == cluster_demo_tree
+
+
+def test_located_tree_is_checked(monkeypatch):
+    monkeypatch.setattr(
+        "cobinary.regions.tree_from_permutation",
+        lambda sigma, eps: cb.initial_tree(eps),
+    )
+    with pytest.raises(cb.VerificationFailed, match="misses x"):
+        cb.locate_tree((2, 1, 5, 4, 3), CLU_EPS)
 
 
 def test_tied_coordinates_rejected():
