@@ -34,7 +34,6 @@ from .exchange import euler_inverse, euler_matrix, exchange_matrix, fz_mutate, x
 from .regions import as_region_point, c_matrix, mutation_sequence
 from .roots import Root
 from .trees import (
-    as_permutation,
     as_sign_sequence,
     enumerate_trees,
     permutations_of,
@@ -89,8 +88,12 @@ def _cmd_trees_enumerate(args) -> int:
 
 def _cmd_trees_from_perm(args) -> int:
     eps = _parse_epsilon(args.epsilon)
-    sigma = as_permutation(_parse_int_list(args.sigma))
-    _emit(serialize.tree_to_obj(tree_from_permutation(sigma, eps)))
+    sigma = _parse_int_list(args.sigma)
+    try:
+        tree = tree_from_permutation(sigma, eps)
+    except ValueError as exc:
+        raise UsageError(f"bad --sigma value {args.sigma!r}: {exc}") from exc
+    _emit(serialize.tree_to_obj(tree))
     return 0
 
 
@@ -104,17 +107,25 @@ def _cmd_trees_perms(args) -> int:
 def _cmd_trees_mutate(args) -> int:
     tree = serialize.tree_from_obj(_load_payload(args.tree))
     ks = [args.k] + (_parse_int_list(args.seq) if args.seq else [])
-    _emit(serialize.tree_to_obj(mutation_sequence(tree, ks)))
+    try:
+        mutated = mutation_sequence(tree, ks)
+    except IndexError as exc:
+        raise UsageError(f"bad --k/--seq value: {exc}") from exc
+    _emit(serialize.tree_to_obj(mutated))
     return 0
 
 
 def _cmd_matrix_euler(args) -> int:
     eps = _parse_epsilon(args.epsilon)
+    try:
+        e = euler_matrix(eps)
+    except ValueError as exc:
+        raise UsageError(f"bad --epsilon value {args.epsilon!r}: {exc}") from exc
     _emit(
         {
             "epsilon": list(eps),
             "ignored": [1, len(eps)],
-            "E": [list(r) for r in euler_matrix(eps)],
+            "E": [list(r) for r in e],
             "E_inverse": [list(r) for r in euler_inverse(eps)],
             "X": [list(r) for r in x_matrix(eps)],
         }
@@ -130,7 +141,11 @@ def _cmd_matrix_exchange(args) -> int:
 
 def _cmd_matrix_fz_mutate(args) -> int:
     ex = serialize.exchange_from_obj(_load_payload(args.btilde))
-    _emit(serialize.exchange_to_obj(fz_mutate(ex, args.k)))
+    try:
+        mutated = fz_mutate(ex, args.k)
+    except IndexError as exc:
+        raise UsageError(f"bad --k value: {exc}") from exc
+    _emit(serialize.exchange_to_obj(mutated))
     return 0
 
 
@@ -149,14 +164,18 @@ def _cmd_clusters_c_matrix(args) -> int:
 
 def _cmd_clusters_stability(args) -> int:
     eps = _parse_epsilon(args.epsilon)
-    beta = Root(args.p, args.q)
     try:
         weight_vector = as_region_point(
             Fraction(tok) for tok in args.v.split(",") if tok
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --v value {args.v!r}: {exc}") from exc
-    weight = linalg.mat_vec(euler_matrix(eps), beta.vector(len(eps)))
+    try:
+        beta = Root(args.p, args.q)
+        weight = linalg.mat_vec(euler_matrix(eps), beta.vector(len(eps)))
+        contains = stability_domain_contains(eps, beta, weight_vector)
+    except ValueError as exc:
+        raise UsageError(f"bad stability query: {exc}") from exc
     _emit(
         {
             "epsilon": list(eps),
@@ -164,7 +183,7 @@ def _cmd_clusters_stability(args) -> int:
             "weight": [int(w) for w in weight],
             "subroots": [[r.p, r.q] for r in subroots(eps, beta)],
             "v": serialize.point_to_obj(weight_vector),
-            "contains": stability_domain_contains(eps, beta, weight_vector),
+            "contains": contains,
         }
     )
     return 0

@@ -42,6 +42,7 @@ from .trees import (
     MixedCobinaryTree,
     Permutation,
     as_sign_sequence,
+    smallest_first_order,
     tree_from_permutation,
 )
 
@@ -216,29 +217,14 @@ def wall_point(tree: MixedCobinaryTree, k: int) -> RegionPoint:
     endpoints of edge k identified; every other comparison stays strict.
     """
     edge = tree.edge(k)
-    classes = {v: v for v in range(1, tree.n + 1)}
-    classes[max(edge.p, edge.q)] = min(edge.p, edge.q)
-    succ: dict[int, list[int]] = {v: [] for v in set(classes.values())}
-    indegree = {v: 0 for v in succ}
-    for e in tree.edges:
-        if e.index == k:
-            continue
-        lo, hi = classes[e.lower], classes[e.upper]
-        succ[lo].append(hi)
-        indegree[hi] += 1
-    ready = sorted(v for v, d in indegree.items() if d == 0)
-    height: dict[int, int] = {}
-    level = 0
-    while ready:
-        v = ready.pop(0)
-        level += 1
-        height[v] = level
-        for u in succ[v]:
-            indegree[u] -= 1
-            if indegree[u] == 0:
-                ready.append(u)
-                ready.sort()
-    return as_region_point(tuple(height[classes[v]] for v in range(1, tree.n + 1)))
+    merged = {v: v for v in range(1, tree.n + 1)}
+    merged[edge.q] = edge.p
+    order = smallest_first_order(
+        (v for v in merged if v != edge.q),
+        ((merged[e.lower], merged[e.upper]) for e in tree.edges if e.index != k),
+    )
+    height = {v: level for level, v in enumerate(order, start=1)}
+    return as_region_point(tuple(height[merged[v]] for v in range(1, tree.n + 1)))
 
 
 def wall_stability_point(

@@ -6,11 +6,11 @@ slope * (e_p + ... + e_{q-1}) in Z^{n-1}; the square matrix of c-vectors
 realizes the tree exactly when slope * (x_q - x_p) > 0 on every edge, so
 the closed regions tile R^n with one open cell per tree.
 
-Mutation at edge k crosses the wall x_p = x_q of cell k: the edge's slope
-flips, and at most two neighbouring edges re-attach — the edge into the
-upper node's leftmost parent slot moves down to the lower node, and the
-edge into the lower node's rightmost child slot moves up.  On c-matrices
-this is "add column k to the re-attached columns, then negate column k".
+Mutation at edge k crosses the wall x_p = x_q of cell k.  Let edge k run
+from its lower endpoint a up to b.  The edge in b's parent slot on a's side
+moves down to a, the edge in a's child slot on b's side moves up to b, and
+edge k's slope flips; every edge keeps its label.  On c-matrices this is
+"add column k to the moved columns, then negate column k".
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .trees import (
     MixedCobinaryTree,
     SignedEdge,
     make_tree,
-    reverse_tree,
+    slot_name,
     tree_from_permutation,
 )
 
@@ -130,93 +130,59 @@ def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
     return tree
 
 
-def _leftmost_parent_edge(tree: MixedCobinaryTree, v: int) -> SignedEdge | None:
-    """The internal edge in node v's leftmost parent slot, if any.
+def _edge(index: int, lower: int, upper: int) -> SignedEdge:
+    """Edge labelled `index` from node `lower` up to node `upper`."""
+    if lower < upper:
+        return SignedEdge(index, lower, upper, 1)
+    return SignedEdge(index, upper, lower, -1)
 
-    A fork-up node has one parent slot per side, so leftmost means the
-    parent left of v; a fork-down node has a single parent slot.
+
+def _moved_edges(
+    tree: MixedCobinaryTree, edge: SignedEdge
+) -> tuple[SignedEdge | None, SignedEdge | None]:
+    """The edges that mutation at `edge` moves, as (down, up).
+
+    With a the lower and b the upper endpoint of `edge`, down fills b's
+    parent slot on a's side and up fills a's child slot on b's side.
     """
-    parents = [e for e in tree.edges if v in (e.p, e.q) and e.lower == v]
-    if tree.epsilon[v - 1] == 1:
-        return parents[0] if parents else None
-    for e in parents:
-        if (e.p if e.q == v else e.q) < v:
-            return e
-    return None
-
-
-def _rightmost_child_edge(tree: MixedCobinaryTree, v: int) -> SignedEdge | None:
-    """The internal edge in node v's rightmost child slot, if any."""
-    children = [e for e in tree.edges if v in (e.p, e.q) and e.upper == v]
-    if tree.epsilon[v - 1] == -1:
-        return children[0] if children else None
-    for e in children:
-        if (e.p if e.q == v else e.q) > v:
-            return e
-    return None
-
-
-def _attach_above(index: int, node: int, upper: int) -> SignedEdge:
-    """Edge labelled `index` joining `node` to `upper` sitting above it."""
-    if upper < node:
-        return SignedEdge(index, upper, node, -1)
-    return SignedEdge(index, node, upper, 1)
-
-
-def _attach_below(index: int, node: int, lower: int) -> SignedEdge:
-    if lower < node:
-        return SignedEdge(index, lower, node, 1)
-    return SignedEdge(index, node, lower, -1)
+    a, b = edge.lower, edge.upper
+    sign_a, sign_b = tree.epsilon[a - 1], tree.epsilon[b - 1]
+    down_slot = slot_name(sign_b, b, a, True)
+    up_slot = slot_name(sign_a, a, b, False)
+    down = up = None
+    for e in tree.edges:
+        if e.lower == b and slot_name(sign_b, b, e.upper, True) == down_slot:
+            down = e
+        elif e.upper == a and slot_name(sign_a, a, e.lower, False) == up_slot:
+            up = e
+    return down, up
 
 
 def mutate(tree: MixedCobinaryTree, k: int) -> MixedCobinaryTree:
     """Cross the wall of edge k.
 
-    For an upward edge k from p to q: q's leftmost parent (if internal)
-    re-attaches to p, p's rightmost child (if internal) re-attaches to q,
-    and edge k's slope flips.  A downward edge is handled through the
-    vertical-mirror symmetry, which commutes with mutation.  Edge labels
-    are preserved, and mutating twice at the same label is the identity.
+    With a the lower and b the upper endpoint of edge k: the edge in b's
+    parent slot on a's side (if any) moves down to a, the edge in a's child
+    slot on b's side (if any) moves up to b, and edge k's slope flips.  Edge
+    labels are preserved, and mutating twice at the same label is the
+    identity.
     """
     edge = tree.edge(k)
-    if edge.slope == -1:
-        return reverse_tree(mutate(reverse_tree(tree), k))
-    p, q = edge.p, edge.q
-    moved_to_p = _leftmost_parent_edge(tree, q)
-    moved_to_q = _rightmost_child_edge(tree, p)
-    new_edges = []
-    for e in tree.edges:
-        if e.index == k:
-            new_edges.append(SignedEdge(k, p, q, -1))
-        elif moved_to_p is not None and e.index == moved_to_p.index:
-            other = e.p if e.q == q else e.q
-            new_edges.append(_attach_above(e.index, p, other))
-        elif moved_to_q is not None and e.index == moved_to_q.index:
-            other = e.p if e.q == p else e.q
-            new_edges.append(_attach_below(e.index, q, other))
-        else:
-            new_edges.append(e)
-    return MixedCobinaryTree(tree.n, tree.epsilon, tuple(new_edges))
+    down, up = _moved_edges(tree, edge)
+    moved = {k: _edge(k, edge.upper, edge.lower)}
+    if down is not None:
+        moved[down.index] = _edge(down.index, edge.lower, down.upper)
+    if up is not None:
+        moved[up.index] = _edge(up.index, up.lower, edge.upper)
+    new_edges = tuple(moved.get(e.index, e) for e in tree.edges)
+    return MixedCobinaryTree(tree.n, tree.epsilon, new_edges)
 
 
 def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:
     """Column recipe for mutation at k: add column k to the columns of the
-    re-attached edges, then negate column k.  Independent consistency route
-    for :func:`mutate`."""
-    edge = tree.edge(k)
-    if edge.slope == -1:
-        flipped = mutate_c_columns(reverse_tree(tree), k)
-        return CMatrix(
-            tuple(tuple(reversed([-x for x in col])) for col in flipped.columns)
-        )
-    moved = {
-        e.index
-        for e in (
-            _leftmost_parent_edge(tree, edge.q),
-            _rightmost_child_edge(tree, edge.p),
-        )
-        if e is not None
-    }
+    moved edges, then negate column k.  Independent consistency route for
+    :func:`mutate`."""
+    moved = {e.index for e in _moved_edges(tree, tree.edge(k)) if e is not None}
     cmat = c_matrix(tree)
     ck = cmat.column(k)
     cols = []

@@ -10,9 +10,9 @@ Two facts drive everything in this module:
 
 * The edge slopes order the nodes by height, and every linear extension of
   that order realizes the tree.  Conversely each permutation of heights is
-  realized by exactly one tree, and the reconstruction is effective: peel
-  off the highest node and recurse, tracking where the open parent slots
-  sit relative to the vertical walls rising from the fork-up nodes.
+  realized by exactly one tree, and the reconstruction is effective:
+  insert the nodes from the lowest up, tracking where the open parent
+  slots sit relative to the vertical walls rising from the fork-up nodes.
 
 * For a fixed sign sequence there are Catalan-many trees, generated by a
   recursion on the rightmost node: its removal splits the tree into an
@@ -26,8 +26,9 @@ identity.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -176,10 +177,9 @@ def _tree_from_triples(
     epsilon: Sequence[int], triples: Iterable[EdgeTriple]
 ) -> MixedCobinaryTree:
     """Build a tree assigning canonical labels: edges sorted by (p, q)."""
-    eps = as_sign_sequence(epsilon)
     ordered = sorted(triples)
     edges = tuple(SignedEdge(i + 1, p, q, s) for i, (p, q, s) in enumerate(ordered))
-    return MixedCobinaryTree(len(eps), eps, edges)
+    return MixedCobinaryTree(len(epsilon), tuple(epsilon), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -192,90 +192,106 @@ def tree_from_permutation(
 ) -> MixedCobinaryTree:
     """The unique tree realized by placing node i at height sigma(i).
 
-    Recurses on the highest node k.  If k is a fork-down node the remaining
-    nodes split at k into left and right subtrees; k's children attach to
-    the rightmost open parent slot on the left and the leftmost on the
-    right.  If k is a fork-up node, the reduced tree has exactly one open
-    parent slot between the walls bracketing position k, and k's child edge
-    attaches there.  The recursion threads, per subtree, the left-to-right
-    list of open parent slots (by owning node) and the wall positions.
+    Inserts the nodes from the lowest up.  The fork-down nodes not yet
+    placed cut 1..n into segments, and each segment holds the partial tree
+    on its placed nodes: the left-to-right list of open parent slots (by
+    owning node) and the sorted positions of its walls.  A fork-up node k
+    attaches its child edge to the one open parent slot between the walls
+    bracketing position k, and opens a parent slot on each side of its own
+    wall.  A fork-down node k joins the segments on its left and right: its
+    children take the rightmost open parent slot on the left and the
+    leftmost on the right, and its own parent slot opens between them.
     """
     eps = as_sign_sequence(epsilon)
     perm = as_permutation(sigma)
-    if len(perm) != len(eps):
+    n = len(perm)
+    if n != len(eps):
         raise ValueError("permutation and sign sequence must have equal length")
-    height = {i + 1: perm[i] for i in range(len(perm))}
+    # Union-find onto the first unplaced fork-down position >= v (or n + 1),
+    # which names the segment holding v.
+    cut = [v + 1 if 1 <= v <= n and eps[v - 1] == -1 else v for v in range(n + 2)]
+    segments = {v: ([], []) for v in range(1, n + 2) if cut[v] == v}
     triples: list[EdgeTriple] = []
 
-    def build(nodes: list[int]) -> tuple[list[int], list[int]]:
-        """Returns (parent-slot owners left to right, wall positions)."""
-        if not nodes:
-            return [], []
-        k = max(nodes, key=height.__getitem__)
-        if eps[k - 1] == 1:
-            left = [v for v in nodes if v < k]
-            right = [v for v in nodes if v > k]
-            slots_l, walls_l = build(left)
-            slots_r, walls_r = build(right)
-            if left:
-                triples.append((slots_l.pop(), k, 1))
-            if right:
-                triples.append((k, slots_r.pop(0), -1))
-            return slots_l + [k] + slots_r, walls_l + walls_r
-        rest = [v for v in nodes if v != k]
-        slots, walls = build(rest)
-        if rest:
-            at = bisect_left(walls, k)
-            owner = slots[at]
-            triples.append((owner, k, 1) if owner < k else (k, owner, -1))
-            slots[at : at + 1] = [k, k]
-        else:
-            slots = [k, k]
-        insort(walls, k)
-        return slots, walls
+    def segment_of(v: int) -> tuple[list[int], list[int]]:
+        while cut[v] != v:
+            cut[v] = cut[cut[v]]
+            v = cut[v]
+        return segments[v]
 
-    build(list(range(1, len(perm) + 1)))
+    for k in sorted(range(1, n + 1), key=lambda v: perm[v - 1]):
+        if eps[k - 1] == 1:
+            slots_l, walls_l = segments.pop(k)
+            cut[k] = k + 1
+            slots, walls = segment_of(k)
+            if slots_l:
+                triples.append((slots_l.pop(), k, 1))
+            if slots:
+                triples.append((k, slots[0], -1))
+            slots[0:1] = slots_l + [k]
+            walls[0:0] = walls_l
+        else:
+            slots, walls = segment_of(k)
+            at = bisect_left(walls, k)
+            if slots:
+                owner = slots[at]
+                triples.append((owner, k, 1) if owner < k else (k, owner, -1))
+            slots[at : at + 1] = [k, k]
+            walls.insert(at, k)
     return _tree_from_triples(eps, triples)
 
 
-def _slope_order_successors(tree: MixedCobinaryTree) -> dict[int, list[int]]:
-    below_to_above: dict[int, list[int]] = {v: [] for v in range(1, tree.n + 1)}
-    for e in tree.edges:
-        below_to_above[e.lower].append(e.upper)
-    return below_to_above
+def _slope_graph(
+    nodes: Iterable[int], slopes: Iterable[tuple[int, int]]
+) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """Successor lists and indegrees of the height order on `nodes` given by
+    (lower, upper) pairs."""
+    succ: dict[int, list[int]] = {v: [] for v in nodes}
+    indegree = dict.fromkeys(succ, 0)
+    for lower, upper in slopes:
+        succ[lower].append(upper)
+        indegree[upper] += 1
+    return succ, indegree
+
+
+def _tree_slopes(tree: MixedCobinaryTree) -> Iterator[tuple[int, int]]:
+    return ((e.lower, e.upper) for e in tree.edges)
+
+
+def smallest_first_order(
+    nodes: Iterable[int], slopes: Iterable[tuple[int, int]]
+) -> list[int]:
+    """The linear extension of the height order given by (lower, upper)
+    pairs that always places the smallest ready node next."""
+    succ, indegree = _slope_graph(nodes, slopes)
+    ready = [v for v, d in indegree.items() if d == 0]
+    heapify(ready)
+    order = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for u in succ[v]:
+            indegree[u] -= 1
+            if indegree[u] == 0:
+                heappush(ready, u)
+    if len(order) != len(succ):
+        raise CyclicHeights("edge slopes admit no linear extension")
+    return order
 
 
 def linear_extension(tree: MixedCobinaryTree) -> Permutation:
     """One permutation realizing the tree (smallest-node-first extension)."""
-    succ = _slope_order_successors(tree)
-    indegree = {v: 0 for v in range(1, tree.n + 1)}
-    for ups in succ.values():
-        for u in ups:
-            indegree[u] += 1
-    ready = sorted(v for v, d in indegree.items() if d == 0)
     sigma = [0] * tree.n
-    rank = 0
-    while ready:
-        v = ready.pop(0)
-        rank += 1
+    order = smallest_first_order(range(1, tree.n + 1), _tree_slopes(tree))
+    for rank, v in enumerate(order, start=1):
         sigma[v - 1] = rank
-        for u in succ[v]:
-            indegree[u] -= 1
-            if indegree[u] == 0:
-                insort(ready, u)
-    if rank != tree.n:
-        raise CyclicHeights("edge slopes admit no linear extension")
     return tuple(sigma)
 
 
 def permutations_of(tree: MixedCobinaryTree) -> set[Permutation]:
     """All height permutations realizing the tree: the linear extensions of
     the slope order, with sigma(p) < sigma(q) on every upward edge."""
-    succ = _slope_order_successors(tree)
-    indegree = {v: 0 for v in range(1, tree.n + 1)}
-    for ups in succ.values():
-        for u in ups:
-            indegree[u] += 1
+    succ, indegree = _slope_graph(range(1, tree.n + 1), _tree_slopes(tree))
     sigma = [0] * tree.n
     found: set[Permutation] = set()
 
@@ -321,45 +337,47 @@ def _check_spanning_tree(n: int, edges: Sequence[SignedEdge]) -> None:
         parent[a] = b
 
 
-def _check_arity(tree: MixedCobinaryTree) -> None:
-    # Slot budget per node: a fork-down node may hold one parent edge and
-    # one child per side; a fork-up node one child edge and one parent per
-    # side.  Two occupants of a side slot could not be separated by the
-    # node's vertical wall.
-    for v in range(1, tree.n + 1):
-        up_left = up_right = down_left = down_right = 0
-        for e in tree.edges:
-            if v not in (e.p, e.q):
-                continue
-            other = e.q if v == e.p else e.p
-            if e.upper == other:
-                if other < v:
-                    up_left += 1
-                else:
-                    up_right += 1
-            else:
-                if other < v:
-                    down_left += 1
-                else:
-                    down_right += 1
-        if tree.epsilon[v - 1] == 1:
-            bounds = {
-                "parent": up_left + up_right,
-                "left child": down_left,
-                "right child": down_right,
-            }
-        else:
-            bounds = {
-                "child": down_left + down_right,
-                "left parent": up_left,
-                "right parent": up_right,
-            }
-        for slot, used in bounds.items():
-            if used > 1:
+# Slots of a node by sign, in the order the arity check reports them.  Two
+# occupants of a side slot could not be separated by the node's wall.
+_SLOTS = {
+    1: ("parent", "left child", "right child"),
+    -1: ("child", "left parent", "right parent"),
+}
+
+
+def slot_name(sign: int, v: int, other: int, other_above: bool) -> str:
+    """The slot of node v (with the given sign) that neighbour `other` fills.
+
+    A fork-down node has one parent slot and one child slot per side; a
+    fork-up node has one child slot and one parent slot per side.
+    """
+    if sign == 1:
+        if other_above:
+            return "parent"
+        return "left child" if other < v else "right child"
+    if other_above:
+        return "left parent" if other < v else "right parent"
+    return "child"
+
+
+def _slot_table(tree: MixedCobinaryTree) -> dict[int, dict[str, list[int]]]:
+    """Per node and slot, the list of neighbours filling it (at most one).
+
+    Raises ArityViolation for the first overfull slot, nodes ascending.
+    """
+    eps = tree.epsilon
+    table = {v: {name: [] for name in _SLOTS[s]} for v, s in enumerate(eps, 1)}
+    for e in tree.edges:
+        for v, other in ((e.p, e.q), (e.q, e.p)):
+            table[v][slot_name(eps[v - 1], v, other, other == e.upper)].append(other)
+    for v, slots in table.items():
+        for name, found in slots.items():
+            if len(found) > 1:
                 raise ArityViolation(
-                    f"node {v} (sign {tree.epsilon[v - 1]:+d}) has {used} "
-                    f"edges in its {slot} slot"
+                    f"node {v} (sign {eps[v - 1]:+d}) has {len(found)} "
+                    f"edges in its {name} slot"
                 )
+    return table
 
 
 def make_tree(
@@ -380,7 +398,7 @@ def make_tree(
         edge_list = [SignedEdge(i + 1, p, q, s) for i, (p, q, s) in enumerate(ordered)]
     _check_spanning_tree(len(eps), edge_list)  # type: ignore[arg-type]
     tree = MixedCobinaryTree(len(eps), eps, tuple(edge_list))  # type: ignore[arg-type]
-    _check_arity(tree)
+    _slot_table(tree)
     sigma = linear_extension(tree)
     rebuilt = tree_from_permutation(sigma, eps)
     if rebuilt.triples != tree.triples:
@@ -393,8 +411,7 @@ def make_tree(
 
 def initial_tree(epsilon: Sequence[int]) -> MixedCobinaryTree:
     """The staircase tree realized only by the identity height order."""
-    eps = as_sign_sequence(epsilon)
-    return _tree_from_triples(eps, [(i, i + 1, 1) for i in range(1, len(eps))])
+    return _tree_from_triples(epsilon, [(i, i + 1, 1) for i in range(1, len(epsilon))])
 
 
 # ---------------------------------------------------------------------------
@@ -522,32 +539,10 @@ def reverse_tree(tree: MixedCobinaryTree) -> MixedCobinaryTree:
 # The gravity bijection onto ordinary binary trees
 # ---------------------------------------------------------------------------
 
-_DOWN_SLOTS = ("parent", "left_child", "right_child")  # counterclockwise
-_UP_SLOTS = ("left_parent", "child", "right_parent")  # counterclockwise
-
-
-def _slot_of(tree: MixedCobinaryTree, v: int, other: int, other_above: bool) -> str:
-    if tree.epsilon[v - 1] == 1:
-        if other_above:
-            return "parent"
-        return "left_child" if other < v else "right_child"
-    if other_above:
-        return "left_parent" if other < v else "right_parent"
-    return "child"
-
-
-def _slot_map(tree: MixedCobinaryTree) -> dict[int, dict[str, int | None]]:
-    slots: dict[int, dict[str, int | None]] = {}
-    for v in range(1, tree.n + 1):
-        names = _DOWN_SLOTS if tree.epsilon[v - 1] == 1 else _UP_SLOTS
-        slots[v] = {name: None for name in names}
-    for e in tree.edges:
-        for v, other in ((e.p, e.q), (e.q, e.p)):
-            slot = _slot_of(tree, v, other, other_above=(e.upper == other))
-            if slots[v][slot] is not None:
-                raise ArityViolation(f"node {v} has two edges in its {slot} slot")
-            slots[v][slot] = other
-    return slots
+_COUNTERCLOCKWISE = {
+    1: ("parent", "left child", "right child"),
+    -1: ("left parent", "child", "right parent"),
+}
 
 
 def gravity_map(tree: MixedCobinaryTree) -> BinaryTree:
@@ -558,35 +553,26 @@ def gravity_map(tree: MixedCobinaryTree) -> BinaryTree:
     tree into an ordinary full binary tree.  For a fixed sign sequence this
     map is a bijection onto binary trees with n internal nodes.
     """
-    slots = _slot_map(tree)
+    table = _slot_table(tree)
 
     def hang(v: int, entered: str) -> BinaryTree:
-        names = _DOWN_SLOTS if tree.epsilon[v - 1] == 1 else _UP_SLOTS
+        names = _COUNTERCLOCKWISE[tree.epsilon[v - 1]]
         at = names.index(entered)
         children = []
         for step in (1, 2):
             slot = names[(at + step) % 3]
-            occupant = slots[v][slot]
-            if occupant is None:
+            if not table[v][slot]:
                 children.append(None)
-            else:
-                enter = _slot_of(
-                    tree, occupant, v, other_above=_is_above(tree, occupant, v)
-                )
-                children.append(hang(occupant, enter))
+                continue
+            (u,) = table[v][slot]
+            # u fills a parent slot of v exactly when v lies below u.
+            enter = slot_name(tree.epsilon[u - 1], u, v, "parent" not in slot)
+            children.append(hang(u, enter))
         return BinaryTree(children[0], children[1])
 
     root = tree.n
-    tack = "right_child" if tree.epsilon[root - 1] == 1 else "right_parent"
+    tack = "right child" if tree.epsilon[root - 1] == 1 else "right parent"
     return hang(root, tack)
-
-
-def _is_above(tree: MixedCobinaryTree, v: int, other: int) -> bool:
-    """True when node `other` lies above node `v` (they must be adjacent)."""
-    for e in tree.edges:
-        if {e.p, e.q} == {v, other}:
-            return e.upper == other
-    raise ValueError(f"nodes {v} and {other} are not adjacent")
 
 
 def binary_trees(n: int) -> list[BinaryTree | None]:

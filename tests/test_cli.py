@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import cobinary as cb
 from cobinary import serialize
 
@@ -173,6 +175,50 @@ def test_verify_is_seed_deterministic():
 def test_usage_error_exit_code():
     out = run_cli("trees", "enumerate")
     assert out.returncode == 2
+
+
+THREE_NODE_TREE = (
+    '{"n":3,"epsilon":[1,1,1],"edges":[{"i":1,"p":1,"q":2,"slope":1},'
+    '{"i":2,"p":2,"q":3,"slope":1}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("trees", "mutate", "--tree", THREE_NODE_TREE, "--k", "5"),
+        ("trees", "mutate", "--tree", THREE_NODE_TREE, "--k", "1", "--seq", "0"),
+        ("trees", "from-perm", "--sigma", "1,1,2", "--epsilon", "1,1,1"),
+        ("trees", "from-perm", "--sigma", "1,2", "--epsilon", "1,1,1"),
+        ("matrix", "euler", "--epsilon", "1"),
+        ("clusters", "stability", "--epsilon", "1,1,1", "--p", "3", "--q", "2",
+         "--v", "0,0"),
+        ("clusters", "stability", "--epsilon", "1,1,1", "--p", "1", "--q", "5",
+         "--v", "0,0"),
+        ("clusters", "stability", "--epsilon", "1,1,1", "--p", "1", "--q", "2",
+         "--v", "0"),
+        ("matrix", "fz-mutate", "--btilde", '{"B":[[0]],"C":[[1]]}', "--k", "3"),
+    ],
+)
+def test_bad_values_are_json_usage_errors(args):
+    out = run_cli(*args)
+    assert out.returncode == 2
+    err = json.loads(out.stderr)
+    assert err["error"] == "usage"
+    assert out.stdout == ""
+
+
+def test_arity_violation_reports_exact_json_on_stderr():
+    tree = (
+        '{"n":3,"epsilon":[1,1,1],"edges":[{"i":1,"p":1,"q":3,"slope":1},'
+        '{"i":2,"p":2,"q":3,"slope":1}]}'
+    )
+    out = run_cli("trees", "perms", "--tree", tree)
+    assert out.returncode == 1
+    assert out.stderr == (
+        '{"error":"ArityViolation",'
+        '"message":"node 3 (sign +1) has 2 edges in its left child slot"}\n'
+    )
 
 
 def test_domain_error_reports_json_on_stderr(tmp_path):

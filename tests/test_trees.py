@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 from itertools import permutations as all_perms
 
 import pytest
@@ -63,8 +65,29 @@ def test_staircase_tree_is_valid_for_every_sign_sequence():
 
 
 def test_two_left_children_is_an_arity_violation():
-    with pytest.raises(cb.ArityViolation):
+    message = "node 3 (sign +1) has 2 edges in its left child slot"
+    with pytest.raises(cb.ArityViolation, match=f"^{re.escape(message)}$"):
         cb.make_tree((1, 1, 1), [(1, 3, 1), (2, 3, 1)])
+
+
+@pytest.mark.parametrize(
+    "eps, edges, message",
+    [
+        (
+            (-1, -1, -1),
+            [(1, 2, -1), (1, 3, -1)],
+            "node 1 (sign -1) has 2 edges in its child slot",
+        ),
+        (
+            (1, 1, 1, 1),
+            [(1, 4, 1), (2, 4, 1), (3, 4, 1)],
+            "node 4 (sign +1) has 3 edges in its left child slot",
+        ),
+    ],
+)
+def test_overfull_slot_reports_node_slot_and_count(eps, edges, message):
+    with pytest.raises(cb.ArityViolation, match=f"^{re.escape(message)}$"):
+        cb.make_tree(eps, edges)
 
 
 def test_mutation_demo_tree_is_valid_with_pinned_c_matrix(mutation_demo_tree):
@@ -131,6 +154,21 @@ def test_single_node():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         cb.tree_from_permutation((1, 2), (1, 1, 1))
+
+
+def test_all_fork_up_identity_at_large_n_is_the_staircase():
+    n = 3000
+    eps = (-1,) * n
+    tree = cb.tree_from_permutation(range(1, n + 1), eps)
+    assert tree.edges == cb.initial_tree(eps).edges
+
+
+def test_make_tree_accepts_a_located_tree_at_large_n():
+    rng = random.Random(5)
+    n = 5000
+    eps = tuple(rng.choice((-1, 1)) for _ in range(n))
+    located = cb.locate_tree(rng.sample(range(10 * n), n), eps)
+    assert cb.make_tree(eps, located.edges).edges == located.edges
 
 
 @given(
@@ -277,6 +315,7 @@ def test_reverse_commutes_with_mutation():
                     left = cb.reverse_tree(cb.mutate(t, k))
                     right = cb.mutate(cb.reverse_tree(t), k)
                     assert left == right
+                    assert left.edges == right.edges
 
 
 # ---------------------------------------------------------------------------
