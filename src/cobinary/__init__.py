@@ -14,7 +14,6 @@ from .clusters import (
     classical_c_matrix,
     cluster_violation,
     enumerate_clusters,
-    enumerate_clusters_bruteforce,
     euler_form,
     initial_cluster,
     is_cluster_matrix,

@@ -21,7 +21,6 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -237,21 +236,6 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
                 clique.pop()
 
     grow(0)
-    found.sort(key=lambda v: v.columns)
-    return found
-
-
-def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]:
-    """Slow oracle: filter every (n-1)-subset through the full definition."""
-    eps = as_sign_sequence(epsilon)
-    n = len(eps)
-    if n == 1:
-        return [ClusterMatrix(())]
-    vectors = [r.vector for r in almost_positive_roots(eps)]
-    found = []
-    for subset in combinations(sorted(vectors), n - 1):
-        if is_cluster_matrix(subset, eps):
-            found.append(ClusterMatrix(subset))
     found.sort(key=lambda v: v.columns)
     return found
 

@@ -3,8 +3,9 @@
 Each labelled edge of a tree contributes the c-vector
 slope * (e_p + ... + e_{q-1}) in Z^{n-1}; the square matrix of c-vectors
 (column k for edge k) determines the tree.  A height vector x in R^n
-realizes the tree exactly when slope * (x_q - x_p) > 0 on every edge, so
-the closed regions tile R^n with one open cell per tree.
+realizes the tree exactly when slope * (x_q - x_p) > 0 on every edge, an
+order condition on the coordinates.  The closed regions are cones (x and k*x,
+k > 0, lie in the same ones) and tile R^n with one open cell per tree.
 
 Mutation at edge k crosses the wall x_p = x_q of cell k.  Let edge k run
 from its lower endpoint a up to b.  The edge in b's parent slot on a's side
@@ -92,12 +93,15 @@ def region_contains(
     tree: MixedCobinaryTree, x: Sequence, strict: bool = True
 ) -> bool:
     """Whether x satisfies every edge inequality slope*(x_q - x_p) > 0
-    (>= 0 for the closed region when strict is False)."""
+    (>= 0 for the closed region when strict is False), tested by comparing
+    the coordinates of each edge's lower and upper endpoints."""
     if len(x) != tree.n:
         raise ValueError(f"point has length {len(x)}, tree has {tree.n} nodes")
     for e in tree.edges:
-        gap = e.slope * (x[e.q - 1] - x[e.p - 1])
-        if gap < 0 or (strict and gap == 0):
+        low, high = x[e.p - 1], x[e.q - 1]
+        if e.slope == -1:
+            low, high = high, low
+        if high < low or (strict and high == low):
             return False
     return True
 

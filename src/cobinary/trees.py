@@ -294,23 +294,28 @@ def permutations_of(tree: MixedCobinaryTree) -> set[Permutation]:
     succ, indegree = _slope_graph(range(1, tree.n + 1), _tree_slopes(tree))
     sigma = [0] * tree.n
     found: set[Permutation] = set()
-
-    def extend(rank: int, ready: list[int]) -> None:
-        if rank > tree.n:
-            found.add(tuple(sigma))
-            return
-        for i, v in enumerate(ready):
-            sigma[v - 1] = rank
-            opened = []
-            for u in succ[v]:
-                indegree[u] -= 1
-                if indegree[u] == 0:
-                    opened.append(u)
-            extend(rank + 1, ready[:i] + ready[i + 1 :] + opened)
-            for u in succ[v]:
+    # One frame per rank: the nodes ready at that rank and how many have been
+    # tried.  Moving on to the next node takes back the last one's release.
+    frames = [([v for v, d in indegree.items() if d == 0], 0)]
+    while frames:
+        ready, tried = frames.pop()
+        if tried:
+            for u in succ[ready[tried - 1]]:
                 indegree[u] += 1
-
-    extend(1, [v for v, d in indegree.items() if d == 0])
+        if tried == len(ready):
+            continue
+        frames.append((ready, tried + 1))
+        v = ready[tried]
+        sigma[v - 1] = len(frames)
+        opened = []
+        for u in succ[v]:
+            indegree[u] -= 1
+            if indegree[u] == 0:
+                opened.append(u)
+        if len(frames) == tree.n:
+            found.add(tuple(sigma))
+        else:
+            frames.append((ready[:tried] + ready[tried + 1 :] + opened, 0))
     return found
 
 
@@ -554,25 +559,28 @@ def gravity_map(tree: MixedCobinaryTree) -> BinaryTree:
     map is a bijection onto binary trees with n internal nodes.
     """
     table = _slot_table(tree)
-
-    def hang(v: int, entered: str) -> BinaryTree:
-        names = _COUNTERCLOCKWISE[tree.epsilon[v - 1]]
+    eps = tree.epsilon
+    # Walk from the root (the loop reaches each node as it is appended),
+    # noting its two children; then build the binary trees in reverse.
+    walk = [(tree.n, "right child" if eps[-1] == 1 else "right parent")]
+    children: dict[int, list[int | None]] = {}
+    for v, entered in walk:
+        if v in children:
+            raise NotATree(f"the walk from node {tree.n} returns to node {v}")
+        names = _COUNTERCLOCKWISE[eps[v - 1]]
         at = names.index(entered)
-        children = []
-        for step in (1, 2):
-            slot = names[(at + step) % 3]
-            if not table[v][slot]:
-                children.append(None)
-                continue
-            (u,) = table[v][slot]
-            # u fills a parent slot of v exactly when v lies below u.
-            enter = slot_name(tree.epsilon[u - 1], u, v, "parent" not in slot)
-            children.append(hang(u, enter))
-        return BinaryTree(children[0], children[1])
-
-    root = tree.n
-    tack = "right child" if tree.epsilon[root - 1] == 1 else "right parent"
-    return hang(root, tack)
+        children[v] = []
+        for slot in names[at + 1 :] + names[:at]:
+            u = table[v][slot][0] if table[v][slot] else None
+            children[v].append(u)
+            if u is not None:
+                # u fills a parent slot of v exactly when v lies below u.
+                walk.append((u, slot_name(eps[u - 1], u, v, "parent" not in slot)))
+    built: dict[int, BinaryTree] = {}
+    for v, _ in reversed(walk):
+        left, right = (None if u is None else built.pop(u) for u in children[v])
+        built[v] = BinaryTree(left, right)
+    return built[tree.n]
 
 
 def binary_trees(n: int) -> list[BinaryTree | None]:

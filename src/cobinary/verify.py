@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Sequence
 
 from . import linalg
@@ -158,7 +158,10 @@ def suite_region_partition(eps, n_max, samples, seed) -> SuiteResult:
         if len(set(x)) < n:
             continue
         tested += 1
-        inside = [t for t in trees if region_contains(t, x, strict=True)]
+        # Regions are cones: the integer point scale * x lies in the same ones.
+        scale = lcm(*(c.denominator for c in x))
+        scaled = tuple(c.numerator * (scale // c.denominator) for c in x)
+        inside = [t for t in trees if region_contains(t, scaled, strict=True)]
         ok = ok and len(inside) == 1 and locate_tree(x, eps) == inside[0]
     return SuiteResult(
         "region-partition", ok, f"samples={samples} seed={seed}"

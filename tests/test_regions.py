@@ -21,6 +21,7 @@ from conftest import (
     MUT_K,
     all_epsilons,
 )
+from oracles import region_contains_by_gaps
 
 # ---------------------------------------------------------------------------
 # c-vectors and c-matrices
@@ -331,3 +332,63 @@ def test_located_tree_contains_its_point(coords):
     eps = (1, -1, -1, 1)
     tree = cb.locate_tree(tuple(coords), eps)
     assert cb.region_contains(tree, tuple(coords), strict=True)
+
+
+# ---------------------------------------------------------------------------
+# membership against the defining inequalities, at n = 12-40
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tree_and_point(draw):
+    """A tree from a random height order and signs, and a point near its
+    region: the heights with small shifts, divided by a small c (floored to
+    ints or kept as Fractions), so that ties (wall points) and points
+    outside the region both occur."""
+    n = draw(st.integers(min_value=12, max_value=40))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    shifts = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    c = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        x = tuple((s + d) // c for s, d in zip(sigma, shifts))
+    else:
+        x = tuple(Fraction(s + d, c) for s, d in zip(sigma, shifts))
+    return cb.tree_from_permutation(sigma, eps), x
+
+
+@given(tree_and_point())
+def test_membership_matches_the_edge_inequalities(case):
+    tree, x = case
+    for strict in (True, False):
+        assert cb.region_contains(tree, x, strict) == region_contains_by_gaps(
+            tree, x, strict
+        )
+
+
+@given(tree_and_point(), st.integers(min_value=1, max_value=10**9))
+def test_membership_is_invariant_under_positive_scaling(case, k):
+    tree, x = case
+    scaled = tuple(k * c for c in x)
+    for strict in (True, False):
+        assert cb.region_contains(tree, scaled, strict) == cb.region_contains(
+            tree, x, strict
+        )
+
+
+@given(
+    st.integers(min_value=12, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.fractions(min_value=-50, max_value=50, max_denominator=20),
+                min_size=n,
+                max_size=n,
+                unique=True,
+            ),
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+        )
+    )
+)
+def test_located_tree_contains_its_point_at_larger_n(case):
+    x, eps = case
+    assert cb.region_contains(cb.locate_tree(x, eps), x, strict=True)

@@ -1,0 +1,22 @@
+"""Rules on the library's source code itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import cobinary as cb
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so every check the library
+    # relies on must raise an exception instead.
+    sources = sorted(Path(cb.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -213,6 +213,11 @@ def test_staircase_fan_is_identity_only():
         assert cb.permutations_of(cb.initial_tree(eps)) == {(1, 2, 3, 4)}
 
 
+def test_staircase_fan_at_large_n_is_identity_only():
+    n = 1500
+    assert cb.permutations_of(cb.initial_tree((1,) * n)) == {tuple(range(1, n + 1))}
+
+
 def test_round_trip_through_every_realizing_permutation():
     for eps in all_epsilons(4):
         for tree in cb.enumerate_trees(eps):
@@ -359,6 +364,36 @@ def test_gravity_is_a_bijection_for_each_sign_sequence():
                 for t in cb.enumerate_trees(eps)
             }
             assert images == all_shapes
+
+
+def _internal_nodes(bt: cb.BinaryTree | None) -> int:
+    count, stack = 0, [bt]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            count += 1
+            stack += [node.left, node.right]
+    return count
+
+
+@pytest.mark.parametrize("eps", [(1,) * 1500, (-1,) * 1500, (1, -1) * 750])
+def test_gravity_map_at_large_n(eps):
+    assert _internal_nodes(cb.gravity_map(cb.initial_tree(eps))) == len(eps)
+
+
+def test_gravity_walk_around_a_cycle_is_not_a_tree():
+    # Three edges on four nodes: a cycle through the root 4, node 1 apart.
+    tree = cb.MixedCobinaryTree(
+        4,
+        (-1, -1, -1, -1),
+        (
+            cb.SignedEdge(1, 2, 3, -1),
+            cb.SignedEdge(2, 2, 4, 1),
+            cb.SignedEdge(3, 3, 4, -1),
+        ),
+    )
+    with pytest.raises(cb.NotATree):
+        cb.gravity_map(tree)
 
 
 def test_binary_tree_catalog_counts():
