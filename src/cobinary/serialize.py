@@ -96,9 +96,14 @@ def point_from_obj(obj: Sequence) -> RegionPoint:
 
 
 def binary_tree_to_obj(bt: BinaryTree | None) -> list | None:
-    if bt is None:
-        return None
-    return [binary_tree_to_obj(bt.left), binary_tree_to_obj(bt.right)]
+    out: list = [None]
+    stack = [(bt, out, 0)]
+    while stack:
+        node, holder, at = stack.pop()
+        if node is not None:
+            holder[at] = [None, None]
+            stack += (node.left, holder[at], 0), (node.right, holder[at], 1)
+    return out[0]
 
 
 def dumps(obj: Any) -> str:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -40,10 +41,10 @@ EdgeTriple = tuple[int, int, int]  # (p, q, slope)
 
 
 def as_sign_sequence(entries: Sequence[int]) -> SignSequence:
-    eps = tuple(int(x) for x in entries)
+    eps = tuple(map(int, entries))
     if len(eps) < 1:
         raise ValueError("sign sequence must have length at least 1")
-    if any(x not in (1, -1) for x in eps):
+    if not {1, -1}.issuperset(eps):
         raise ValueError(f"sign sequence entries must be +-1, got {eps}")
     return eps
 
@@ -55,7 +56,7 @@ def as_permutation(values: Sequence[int]) -> Permutation:
     return sigma
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SignedEdge:
     """Internal edge with stable label `index`, endpoints p < q, and slope."""
 
@@ -90,6 +91,9 @@ class MixedCobinaryTree:
 
     Construction performs only cheap structural checks; full validity (the
     wall conditions) is enforced by :func:`make_tree`.
+
+    `==`, `hash` and `<` compare `canonical_key`: n, epsilon and the sorted
+    triples in one flat tuple, computed on first use and kept in `__dict__`.
     """
 
     n: int
@@ -103,7 +107,7 @@ class MixedCobinaryTree:
             raise ValueError(f"n={self.n} but sign sequence has length {len(eps)}")
         edges = tuple(sorted(self.edges, key=lambda e: e.index))
         object.__setattr__(self, "edges", edges)
-        if sorted(e.index for e in edges) != list(range(1, self.n)):
+        if [e.index for e in edges] != list(range(1, self.n)):
             raise ValueError("edge labels must be exactly 1..n-1")
         if any(e.q > self.n for e in edges):
             raise ValueError("edge endpoint out of range")
@@ -121,9 +125,9 @@ class MixedCobinaryTree:
         """Edge triples sorted by (p, q); the canonical identity of the tree."""
         return tuple(sorted(e.triple for e in self.edges))
 
-    @property
+    @cached_property
     def canonical_key(self) -> tuple:
-        return (self.n, self.epsilon, self.triples)
+        return (self.n, self.epsilon, tuple(x for t in self.triples for x in t))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedCobinaryTree):
@@ -155,10 +159,11 @@ class BinaryTree:
     right: "BinaryTree | None" = None
 
     def internal_count(self) -> int:
-        count = 1
-        for child in (self.left, self.right):
-            if child is not None:
-                count += child.internal_count()
+        count, stack = 0, [self]
+        while stack:
+            node = stack.pop()
+            count += 1
+            stack += [c for c in (node.left, node.right) if c is not None]
         return count
 
 
@@ -495,9 +500,9 @@ def enumerate_trees(epsilon: Sequence[int]) -> list[MixedCobinaryTree]:
     eps = as_sign_sequence(epsilon)
     memo: dict[tuple[int, ...], tuple[_EnumState, ...]] = {}
     states = _enumerate_states(tuple(range(1, len(eps) + 1)), eps, memo)
-    trees = [_tree_from_triples(eps, edges) for edges, _, _ in states]
-    trees.sort()
-    return trees
+    # One n and one epsilon: the sorted triples alone give the canonical order.
+    ordered = sorted(tuple(sorted(edges)) for edges, _, _ in states)
+    return [_tree_from_triples(eps, triples) for triples in ordered]
 
 
 def sign_sequences(n: int) -> Iterator[SignSequence]:

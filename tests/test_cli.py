@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -34,6 +35,22 @@ def test_enumerate_counts_and_determinism():
     trees = json.loads(first.stdout)
     assert len(trees) == 5
     assert all(t["epsilon"] == [-1, -1, 1] for t in trees)
+
+
+# sha256 of the `trees enumerate` stdout: pins the canonical order of the
+# trees and their edge labels.
+ENUMERATION_SHA256 = {
+    "-1,1,-1,1,-1,1,-1": "1faa9f7a1a41adb169b9327fc66a4cf540cca34cf4aa40c38023353d09a73b5f",
+    "1,1,-1,-1,1,-1,1,1": "da4d6d7c2342c43429dd0455f89edae20416915d5814aaf822c1558dfbf385b6",
+    "-1,-1,1,1,1,-1,1,-1,-1": "37685a81639ae4cd4a59f8f7b93e922135bd09b6f24caeb349b59505a7c389f3",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(ENUMERATION_SHA256))
+def test_enumeration_output_is_pinned(eps):
+    out = run_cli("trees", "enumerate", "--epsilon", eps)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == ENUMERATION_SHA256[eps]
 
 
 def test_from_perm_and_perms_round_trip(tmp_path):

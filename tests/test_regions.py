@@ -392,3 +392,19 @@ def test_membership_is_invariant_under_positive_scaling(case, k):
 def test_located_tree_contains_its_point_at_larger_n(case):
     x, eps = case
     assert cb.region_contains(cb.locate_tree(x, eps), x, strict=True)
+
+
+@st.composite
+def tree_and_edge(draw):
+    n = draw(st.integers(min_value=12, max_value=40))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return cb.tree_from_permutation(sigma, eps), draw(st.integers(1, n - 1))
+
+
+@given(tree_and_edge())
+def test_mutation_at_larger_n_is_an_involution_and_fz_mutation(case):
+    tree, k = case
+    flipped = cb.mutate(tree, k)
+    assert cb.mutate(flipped, k).edges == tree.edges
+    assert cb.exchange_matrix(flipped) == cb.fz_mutate(cb.exchange_matrix(tree), k)

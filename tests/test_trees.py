@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import re
 from itertools import permutations as all_perms
@@ -218,6 +220,17 @@ def test_staircase_fan_at_large_n_is_identity_only():
     assert cb.permutations_of(cb.initial_tree((1,) * n)) == {tuple(range(1, n + 1))}
 
 
+def test_fan_membership_is_region_membership():
+    # sigma realizes the tree exactly when it satisfies every edge
+    # inequality, which is how the sampled perm-partition suite tests it.
+    for n in range(1, 7):
+        perms = list(all_perms(range(1, n + 1)))
+        for eps in all_epsilons(n):
+            for tree in cb.enumerate_trees(eps):
+                fan = cb.permutations_of(tree)
+                assert {s for s in perms if cb.region_contains(tree, s)} == fan
+
+
 def test_round_trip_through_every_realizing_permutation():
     for eps in all_epsilons(4):
         for tree in cb.enumerate_trees(eps):
@@ -376,9 +389,36 @@ def _internal_nodes(bt: cb.BinaryTree | None) -> int:
     return count
 
 
+def _shape(bt: cb.BinaryTree | None) -> list | None:
+    if bt is None:
+        return None
+    return [_shape(bt.left), _shape(bt.right)]
+
+
+def _has_shape(bt: cb.BinaryTree | None, obj: list | None) -> bool:
+    stack = [(bt, obj)]
+    while stack:
+        node, shape = stack.pop()
+        if node is None or shape is None:
+            if node is not shape:
+                return False
+        else:
+            stack += [(node.left, shape[0]), (node.right, shape[1])]
+    return True
+
+
+def test_binary_tree_consumers_agree_with_recursive_walks():
+    for n in range(1, 7):
+        for bt in cb.binary_trees(n):
+            assert bt.internal_count() == _internal_nodes(bt) == n
+            assert binary_tree_to_obj(bt) == _shape(bt)
+
+
 @pytest.mark.parametrize("eps", [(1,) * 1500, (-1,) * 1500, (1, -1) * 750])
 def test_gravity_map_at_large_n(eps):
-    assert _internal_nodes(cb.gravity_map(cb.initial_tree(eps))) == len(eps)
+    bt = cb.gravity_map(cb.initial_tree(eps))
+    assert _internal_nodes(bt) == bt.internal_count() == len(eps)
+    assert _has_shape(bt, binary_tree_to_obj(bt))
 
 
 def test_gravity_walk_around_a_cycle_is_not_a_tree():
@@ -420,3 +460,57 @@ def test_equality_distinguishes_sign_sequences():
     a = cb.initial_tree((1, 1))
     b = cb.initial_tree((1, -1))
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# identity at n = 12-40, without enumeration
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tree_and_others(draw):
+    """A tree from a random height order and signs, then trees with the same
+    signs: one from its own linear extension (equal), its mutations at a few
+    edges (two edges differ) and one from a fresh height order."""
+    n = draw(st.integers(min_value=12, max_value=40))
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    tree = cb.tree_from_permutation(draw(st.permutations(range(1, n + 1))), eps)
+    ks = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    others = [cb.tree_from_permutation(cb.linear_extension(tree), eps)]
+    others += [cb.mutate(tree, k) for k in ks]
+    others.append(cb.tree_from_permutation(draw(st.permutations(range(1, n + 1))), eps))
+    return tree, others
+
+
+@given(tree_and_others())
+def test_equality_hash_and_order_follow_the_triples(case):
+    tree, others = case
+    for other in others:
+        assert (tree == other) == (tree.triples == other.triples)
+        assert (tree < other) == (tree.triples < other.triples)
+        if tree == other:
+            assert hash(tree) == hash(other)
+    trees = [tree] + others
+    assert [t.triples for t in sorted(trees)] == sorted(t.triples for t in trees)
+
+
+@given(tree_and_others(), st.randoms(use_true_random=False))
+def test_relabelled_pickled_and_copied_trees_keep_their_identity(case, rng):
+    tree, _ = case
+    triples = list(tree.triples)
+    rng.shuffle(triples)
+    fresh = cb.tree_from_permutation(cb.linear_extension(tree), tree.epsilon)
+    hash(tree)  # one copy with the key already computed, one without
+    for copied in (
+        tree.relabelled(triples),
+        pickle.loads(pickle.dumps(tree)),
+        pickle.loads(pickle.dumps(fresh)),
+        copy.deepcopy(tree),
+        copy.deepcopy(fresh),
+    ):
+        assert copied == tree and hash(copied) == hash(tree)
+        assert not copied < tree and not tree < copied
+    other_signs = cb.MixedCobinaryTree(
+        tree.n, tuple(-s for s in tree.epsilon), tree.edges
+    )
+    assert other_signs != tree
