@@ -63,7 +63,6 @@ from .regions import (
     c_vector,
     locate_tree,
     mutate,
-    mutate_c_columns,
     mutation_sequence,
     rank_permutation,
     region_contains,

@@ -18,6 +18,7 @@ from typing import Any, Sequence
 
 from . import linalg, serialize, verify
 from .clusters import (
+    ClusterMatrix,
     classical_c_matrix,
     enumerate_clusters,
     stability_domain_contains,
@@ -74,6 +75,17 @@ def _load_payload(arg: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON payload: {exc}") from exc
+
+
+def _load_cluster(arg: str, eps: tuple[int, ...]) -> ClusterMatrix:
+    """The --cluster payload: n - 1 integer columns of length n - 1."""
+    try:
+        cluster = serialize.cluster_from_obj(_load_payload(arg))
+        if len(cluster.columns) != len(eps) - 1:
+            raise ValueError(f"{len(eps)} nodes need {len(eps) - 1} columns")
+    except ValueError as exc:
+        raise UsageError(f"bad --cluster value: {exc}") from exc
+    return cluster
 
 
 def _emit(obj: Any) -> None:
@@ -157,7 +169,7 @@ def _cmd_clusters_enumerate(args) -> int:
 
 def _cmd_clusters_c_matrix(args) -> int:
     eps = _parse_epsilon(args.epsilon)
-    cluster = serialize.cluster_from_obj(_load_payload(args.cluster))
+    cluster = _load_cluster(args.cluster, eps)
     _emit(serialize.cmatrix_to_obj(classical_c_matrix(cluster, eps)))
     return 0
 
@@ -191,7 +203,7 @@ def _cmd_clusters_stability(args) -> int:
 
 def _cmd_bij_to_tree(args) -> int:
     eps = _parse_epsilon(args.epsilon)
-    cluster = serialize.cluster_from_obj(_load_payload(args.cluster))
+    cluster = _load_cluster(args.cluster, eps)
     work = cluster_to_tree_work(cluster, eps)
     _emit(
         {

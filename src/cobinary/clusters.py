@@ -21,6 +21,8 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from . import linalg
@@ -28,7 +30,7 @@ from .errors import NotACluster, NotARoot, VerificationFailed
 from .exchange import euler_inverse, euler_matrix
 from .regions import CMatrix
 from .roots import Root, is_root_vector, positive_roots, root_from_vector
-from .trees import as_sign_sequence
+from .trees import SignSequence, as_sign_sequence
 
 IntVector = tuple[int, ...]
 
@@ -133,14 +135,33 @@ class ClusterMatrix:
         return tuple(sorted(self.columns))
 
 
-def _column_kind(col: IntVector, epsilon: Sequence[int]) -> str | None:
-    """'positive', 'projective', or None when not an almost positive root."""
-    if is_root_vector(col) and root_from_vector(col).sign == 1:
-        return "positive"
-    neg = tuple(-x for x in col)
-    if neg in projective_roots(epsilon):
-        return "projective"
-    return None
+@lru_cache(maxsize=None)
+def _arrow_counts(eps: SignSequence) -> tuple[IntVector, IntVector]:
+    """Prefix counts of the arrows pointing right and left: entry m counts
+    those between vertices i and i + 1 for i < m, each oriented by the sign
+    of node i + 1 (+1 points left)."""
+    right = (0, 0, *accumulate(int(s == -1) for s in eps[1:-1]))
+    left = (0, 0, *accumulate(int(s == 1) for s in eps[1:-1]))
+    return right, left
+
+
+def _root_euler(counts: tuple[IntVector, IntVector], a: Root, b: Root) -> int:
+    """a^t E b for two roots, in O(1) from the arrow counts of E.  For
+    positive roots, the vertices [p, q) the two intervals share minus the
+    arrows from a vertex of a to a vertex of b."""
+    right, left = counts
+    shared = max(0, min(a.q, b.q) - max(a.p, b.p))
+    lo, hi = max(a.p, b.p - 1), min(a.q - 1, b.q - 2)  # i -> i + 1
+    forward = right[hi + 1] - right[lo] if lo <= hi else 0
+    lo, hi = max(a.p - 1, b.p), min(a.q - 2, b.q - 1)  # i + 1 -> i
+    backward = left[hi + 1] - left[lo] if lo <= hi else 0
+    return a.sign * b.sign * (shared - forward - backward)
+
+
+@lru_cache(maxsize=None)
+def _projective_intervals(eps: SignSequence) -> frozenset[tuple[int, int]]:
+    """The (p, q) of every projective root."""
+    return frozenset((r.p, r.q) for r in map(root_from_vector, projective_roots(eps)))
 
 
 def cluster_violation(
@@ -163,17 +184,20 @@ def cluster_violation(
         return "column of wrong length"
     if len(set(cols)) != len(cols):
         return "columns are not distinct"
-    kinds = []
+    projective = _projective_intervals(eps)
+    counts = _arrow_counts(eps)
+    roots = []
     for col in cols:
-        kind = _column_kind(col, eps)
-        if kind is None:
+        try:
+            root = root_from_vector(col)
+        except NotARoot:
+            root = None
+        if root is None or (root.sign == -1 and (root.p, root.q) not in projective):
             return f"column {col} is not an almost positive root"
-        kinds.append(kind)
-    e = euler_matrix(eps)
-    for i, vi in enumerate(cols):
-        row = linalg.vec_mat(vi, e)
-        for j, vj in enumerate(cols):
-            if kinds[j] == "positive" and linalg.dot(row, vj) < 0:
+        roots.append(root)
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            if b.sign == 1 and _root_euler(counts, a, b) < 0:
                 return (
                     f"columns {i + 1} and {j + 1} are incompatible: "
                     f"v_{i + 1}^t E v_{j + 1} < 0"
@@ -193,14 +217,10 @@ def initial_cluster(epsilon: Sequence[int]) -> ClusterMatrix:
     return ClusterMatrix(projective_roots(epsilon))
 
 
-def _pairwise_compatible(
-    u: AlmostPositiveRoot, v: AlmostPositiveRoot, e: linalg.IntMatrix
-) -> bool:
-    if v.is_positive and linalg.dot(linalg.vec_mat(u.vector, e), v.vector) < 0:
-        return False
-    if u.is_positive and linalg.dot(linalg.vec_mat(v.vector, e), u.vector) < 0:
-        return False
-    return True
+def _compatible(counts: tuple[IntVector, IntVector], u: Root, v: Root) -> bool:
+    return (v.sign == -1 or _root_euler(counts, u, v) >= 0) and (
+        u.sign == -1 or _root_euler(counts, v, u) >= 0
+    )
 
 
 def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
@@ -214,12 +234,10 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
     if n == 1:
         return [ClusterMatrix(())]
     roots = almost_positive_roots(eps)
-    e = euler_matrix(eps)
+    decoded = [root_from_vector(r.vector) for r in roots]
     m = len(roots)
-    compatible = [
-        [_pairwise_compatible(roots[i], roots[j], e) for j in range(m)]
-        for i in range(m)
-    ]
+    counts = _arrow_counts(eps)
+    compatible = [[_compatible(counts, u, v) for v in decoded] for u in decoded]
     found: list[ClusterMatrix] = []
     clique: list[int] = []
 

@@ -3,11 +3,18 @@
 The consecutive-difference map F sends a height vector in R^n to R^{n-1};
 its kernel is the diagonal line.  A cluster matrix V spans the cone of
 weight vectors E^t V a (a >= 0), and pulling that cone back through F
-yields the closed region of exactly one tree.  Constructively: lift each
-row of V^t E to a height vector, sum the lifts, rank the sum into a
-permutation, and rebuild the tree from that permutation; the pairing is
-certified by V^t E C(T) = I, which also forces the classical c-vectors of
-the cluster to equal the tree's c-vectors column by column.
+yields the closed region of exactly one tree.
+
+Both directions read the tree's cuts.  Delete edge k and let U_k be the
+part holding its upper endpoint: row k of C(T)^{-1} is F(1_{U_k}), as
+against column j of C(T) it telescopes to
+slope_j * (1_{U_k}(q_j) - 1_{U_k}(p_j)) = [j = k].  So V^t = C(T)^{-1} E^{-1}
+needs no inversion.  Rows of V^t E lift back to the indicators 1_{U_k},
+whose sum rises by exactly 1 along every edge: its first ranking rebuilds
+the tree, and edge k is the edge crossing cut k.  The same sums certify
+V^t E C(T) = I in O(n^2) integer comparisons; only a failed certificate
+inverts V^t E, to name the failure.  `clusters.classical_c_matrix` keeps
+the Gauss-Jordan route as the independent oracle.
 
 Every wall of a tree's region maps into a stability domain: identifying
 the two endpoint heights of one edge and keeping every other comparison
@@ -18,8 +25,9 @@ all subroot inequalities of that edge's root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations, product
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import accumulate, islice, permutations, product
+from typing import NoReturn, Sequence
 
 from . import linalg
 from .clusters import (
@@ -56,34 +64,24 @@ def f_map(x: Sequence) -> tuple:
 
 def f_lift(y: Sequence) -> tuple:
     """The preimage of y under f_map with first coordinate 0."""
-    out = [0]
-    for v in y:
-        out.append(out[-1] + v)
-    return tuple(out)
+    return tuple(accumulate(y, initial=0))
 
 
-def _shift_to_min_zero(row: Sequence) -> tuple:
-    """Translate along the diagonal so the smallest entry becomes 0."""
-    low = min(row)
-    return tuple(v - low for v in row)
-
-
-def _rankings_with_tie_breaks(x: Sequence) -> Iterator[Permutation]:
-    """Permutations ranking x, ascending-index tie-break first, then every
-    other linear extension of the tied groups."""
-    n = len(x)
+def _tied_rankings(x: Sequence, limit: int) -> tuple[Permutation, ...]:
+    """The first `limit` permutations ranking x: ascending index on ties
+    first, then the other orders of the tied groups, the last group turning
+    fastest.  None of them needs more than `limit` orders of one group."""
     groups: dict = {}
-    for i in range(n):
-        groups.setdefault(x[i], []).append(i)
-    pools = [tuple(groups[v]) for v in sorted(groups)]
-    for choice in product(*(tuple(permutations(pool)) for pool in pools)):
-        sigma = [0] * n
-        rank = 1
-        for block in choice:
-            for i in block:
-                sigma[i] = rank
-                rank += 1
-        yield tuple(sigma)
+    for i, v in enumerate(x):
+        groups.setdefault(v, []).append(i)
+    pools = [tuple(islice(permutations(groups[v]), limit)) for v in sorted(groups)]
+    out = []
+    for choice in islice(product(*pools), limit):
+        sigma = [0] * len(x)
+        for rank, i in enumerate((i for block in choice for i in block), start=1):
+            sigma[i] = rank
+        out.append(tuple(sigma))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -96,43 +94,103 @@ class BijectionWork:
     lifted_rows: tuple[tuple[int, ...], ...]
     sum_vector: tuple[int, ...]
     ranking: Permutation
-    tied_rankings: tuple[Permutation, ...]
-    c_matrix: CMatrix
     tree: MixedCobinaryTree
 
+    @property
+    def c_matrix(self) -> CMatrix:
+        """(V^t E)^{-1}: the tree's c-matrix."""
+        return c_matrix(self.tree)
 
-def _decode(
-    cluster: ClusterMatrix,
-    eps: tuple[int, ...],
-    vt_e: linalg.IntMatrix,
-    c_rows: linalg.IntMatrix,
-) -> BijectionWork:
-    """The decode of :func:`cluster_to_tree_work`, from V^t E and C's rows."""
-    lifted = tuple(_shift_to_min_zero(f_lift(row)) for row in vt_e)
-    total = tuple(sum(col) for col in zip(*lifted))
-    expected = CMatrix(linalg.transpose(c_rows))
-    expected_triples = []
-    for col in expected.columns:
-        try:
-            root = root_from_vector(col)
-        except NotARoot as exc:
-            raise VerificationFailed(
-                f"(V^t E)^{{-1}} has a non-root column: {exc}"
-            ) from exc
-        expected_triples.append((root.p, root.q, root.sign))
-    rankings = _rankings_with_tie_breaks(total)
-    tied = tuple(islice(_rankings_with_tie_breaks(total), 24))
-    for sigma in rankings:
-        tree = tree_from_permutation(sigma, eps)
-        if sorted(tree.triples) == sorted(expected_triples):
-            tree = tree.relabelled(expected_triples)
-            return BijectionWork(
-                eps, cluster, vt_e, lifted, total, sigma, tied, expected, tree
-            )
+    @property
+    def tied_rankings(self) -> tuple[Permutation, ...]:
+        """Up to 24 rankings of the sum vector; every one rebuilds the tree."""
+        return _tied_rankings(self.sum_vector, 24)
+
+
+@lru_cache(maxsize=None)
+def _euler_columns(eps: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero entries (i, E_ij) of each column j of E: at most three."""
+    columns = zip(*euler_matrix(eps))
+    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in columns)
+
+
+@lru_cache(maxsize=None)
+def _euler_inverse_roots(eps: tuple[int, ...]) -> tuple[Root, ...]:
+    """The columns of E^{-1}, each a root: the vertices with a path to j."""
+    return tuple(map(root_from_vector, zip(*euler_inverse(eps))))
+
+
+def _times_euler(columns: Sequence, eps: tuple[int, ...]) -> linalg.IntMatrix:
+    """V^t E from the columns of V, in O(n^2)."""
+    e = _euler_columns(eps)
+    return tuple(tuple([sum([v[i] * x for i, x in col]) for col in e]) for v in columns)
+
+
+def _cut_sides(tree: MixedCobinaryTree) -> list[tuple[int, ...]]:
+    """1_{U_k} on nodes 1..n for each edge k: U_k is the part of the tree
+    holding edge k's upper endpoint once edge k is deleted."""
+    neighbours: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, tree.n + 1)}
+    for e in tree.edges:
+        neighbours[e.p].append((e.q, e.index))
+        neighbours[e.q].append((e.p, e.index))
+    sides = []
+    for e in tree.edges:
+        side, stack = [0] * tree.n, [e.upper]
+        side[e.upper - 1] = 1
+        while stack:
+            for u, k in neighbours[stack.pop()]:
+                if k != e.index and not side[u - 1]:
+                    side[u - 1] = 1
+                    stack.append(u)
+        sides.append(tuple(side))
+    return sides
+
+
+def _telescopes(lifts: Sequence[Sequence[int]], tree: MixedCobinaryTree) -> bool:
+    """Whether V^t E C(T) = I, from the lifts L_k of the rows of V^t E (up to
+    a shift): entry (k, j) telescopes to slope_j * (L_k(q_j) - L_k(p_j))."""
+    for k, lift in enumerate(lifts, start=1):
+        for e in tree.edges:
+            if e.slope * (lift[e.q - 1] - lift[e.p - 1]) != (e.index == k):
+                return False
+    return True
+
+
+def _name_failure(vt_e: linalg.IntMatrix) -> NoReturn:
+    """Raise why no tree pairs with V^t E, found the Gauss-Jordan way."""
+    try:
+        c_rows = linalg.inverse_integer(vt_e)
+    except (SingularV, NonIntegralResult) as exc:
+        raise VerificationFailed(f"V^t E is not invertible over Z: {exc}") from exc
+    try:
+        for col in zip(*c_rows):
+            root_from_vector(col)
+    except NotARoot as exc:
+        raise VerificationFailed(f"(V^t E)^{{-1}} has a non-root column: {exc}") from exc
     raise VerificationFailed(
         "no tie-break of the rank vector reconstructs the decoded c-matrix; "
         "the input is not a cluster matrix"
     )
+
+
+def _decode(
+    cluster: ClusterMatrix, eps: tuple[int, ...], vt_e: linalg.IntMatrix
+) -> BijectionWork:
+    """The decode of :func:`cluster_to_tree_work`, from V^t E."""
+    lifted = tuple(tuple(v - min(lift) for v in lift) for lift in map(f_lift, vt_e))
+    total = tuple(map(sum, zip(*lifted)))
+    (ranking,) = _tied_rankings(total, 1)
+    tree = tree_from_permutation(ranking, eps)
+    edges = tree.edges
+    crossing = [  # per lift, the first edge whose endpoints it tells apart
+        next((j for j, e in enumerate(edges) if lift[e.p - 1] != lift[e.q - 1]), -1)
+        for lift in lifted
+    ]
+    if sorted(crossing) == list(range(len(edges))):
+        tree = tree.relabelled([edges[j].triple for j in crossing])
+        if _telescopes(lifted, tree):
+            return BijectionWork(eps, cluster, vt_e, lifted, total, ranking, tree)
+    _name_failure(vt_e)
 
 
 def cluster_to_tree_work(
@@ -140,13 +198,12 @@ def cluster_to_tree_work(
 ) -> BijectionWork:
     """Run the constructive correspondence and keep the work shown.
 
-    V^t E is inverted exactly into C, the tree's c-matrix.  The decode that
-    follows is shared with :func:`tree_to_cluster`: each row of V^t E is
-    lifted through f_lift and shifted to have minimum 0; the rows are summed
-    and the sum is ranked (ascending index on ties) into the permutation
-    that rebuilds the tree, whose edges must be the columns of C.  If the
-    first ranking fails, every other tie-break is tried, and the edge labels
-    are taken from the matched columns.
+    V^t E takes O(n^2): a column of E has at most three nonzero entries.
+    Each of its rows is lifted through f_lift and shifted to minimum 0 (a
+    cut indicator); the lifts are summed and the sum is ranked, ascending
+    index on ties, into the permutation that rebuilds the tree.  Edge k is
+    the one edge that crosses cut k, and V^t E C(T) = I is certified by
+    telescoping.
     """
     eps = as_sign_sequence(epsilon)
     n = len(eps)
@@ -154,15 +211,10 @@ def cluster_to_tree_work(
         if cluster.columns:
             raise VerificationFailed("a single node pairs with the empty cluster")
         tree = tree_from_permutation((1,), eps)
-        return BijectionWork(
-            eps, cluster, (), (), (1,), (1,), ((1,),), CMatrix(()), tree
-        )
-    vt_e = linalg.mat_mul(linalg.as_matrix(cluster.columns), euler_matrix(eps))
-    try:
-        c_rows = linalg.inverse_integer(vt_e)
-    except (SingularV, NonIntegralResult) as exc:
-        raise VerificationFailed(f"V^t E is not invertible over Z: {exc}") from exc
-    return _decode(cluster, eps, vt_e, c_rows)
+        return BijectionWork(eps, cluster, (), (), (1,), (1,), tree)
+    if len(cluster.columns) != n - 1:
+        raise ValueError(f"{n} nodes pair with clusters of {n - 1} columns")
+    return _decode(cluster, eps, _times_euler(cluster.columns, eps))
 
 
 def cluster_to_tree(
@@ -179,21 +231,23 @@ def cluster_to_tree(
 def tree_to_cluster(tree: MixedCobinaryTree) -> ClusterMatrix:
     """The cluster matrix V = (C(T)^{-1} E^{-1})^t paired with the tree.
 
-    Column k pairs with edge k.  The result must pass the cluster test and
-    decode back to the tree; V^t E is C(T)^{-1}, so the decode reuses both
-    matrices without inverting again.  Failures indicate corrupted input.
+    Column j of E^{-1} is a root (p, q), so entry (k, j) of V^t telescopes
+    to 1_{U_k}(q) - 1_{U_k}(p).  Column k pairs with edge k.  The result
+    must pass the cluster test and decode back to the tree, with the cut
+    rows C(T)^{-1} as V^t E.  Failures indicate corrupted input.
     """
     eps = tree.epsilon
     if tree.n == 1:
         return ClusterMatrix(())
-    cmat = c_matrix(tree)
-    c_inv = linalg.inverse_integer(cmat.rows)
-    m = linalg.mat_mul(c_inv, euler_inverse(eps))  # V^t, exactly
-    cluster = ClusterMatrix(m)
+    sides = _cut_sides(tree)
+    roots = _euler_inverse_roots(eps)
+    cluster = ClusterMatrix(
+        tuple(tuple(s[r.q - 1] - s[r.p - 1] for r in roots) for s in sides)
+    )
     problem = cluster_violation(cluster, eps)
     if problem is not None:
         raise NotACluster(f"derived columns fail the cluster test: {problem}")
-    if _decode(cluster, eps, c_inv, cmat.rows).tree != tree:
+    if _decode(cluster, eps, tuple(map(f_map, sides))).tree != tree:
         raise NotACluster("derived cluster does not reconstruct the tree")
     return cluster
 
@@ -202,12 +256,10 @@ def verify_pairing_identity(
     tree: MixedCobinaryTree, cluster: ClusterMatrix
 ) -> bool:
     """Whether V^t E C(T) is the identity under the column-to-edge pairing."""
-    if tree.n == 1:
-        return cluster.columns == ()
-    vt = linalg.as_matrix(cluster.columns)
-    e = euler_matrix(tree.epsilon)
-    product = linalg.mat_mul(linalg.mat_mul(vt, e), c_matrix(tree).rows)
-    return product == linalg.identity(tree.n - 1)
+    if tree.n == 1 or len(cluster.columns) != tree.n - 1:
+        return tree.n == 1 and cluster.columns == ()
+    rows = _times_euler(cluster.columns, tree.epsilon)
+    return _telescopes(tuple(map(f_lift, rows)), tree)
 
 
 def wall_point(tree: MixedCobinaryTree, k: int) -> RegionPoint:

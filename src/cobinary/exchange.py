@@ -48,17 +48,20 @@ class ExchangeMatrix:
         return linalg.transpose(self.c_rows)
 
 
+def _path(eps: tuple[int, ...], i: int, j: int) -> bool:
+    """Whether a path runs from vertex i to vertex j (0-based): every arrow
+    between them points from i towards j.  The sign at node k + 1 orients
+    the arrow between vertices k - 1 and k; -1 points right."""
+    toward = -1 if i < j else 1
+    return all(eps[k] == toward for k in range(min(i, j) + 1, max(i, j) + 1))
+
+
 @lru_cache(maxsize=None)
 def _euler_cached(eps: tuple[int, ...]) -> linalg.IntMatrix:
-    n = len(eps)
-    rows = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
-    for a in range(1, n - 1):
-        # Arrow between vertices a and a+1, oriented by the sign at node a+1.
-        if eps[a] == 1:
-            rows[a][a - 1] = -1
-        else:
-            rows[a - 1][a] = -1
-    return linalg.as_matrix(rows)
+    m = range(len(eps) - 1)  # E = I - A: a -1 for each arrow i -> j
+    return tuple(
+        tuple(int(i == j) - (abs(i - j) == 1 and _path(eps, i, j)) for j in m) for i in m
+    )
 
 
 def euler_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
@@ -71,11 +74,13 @@ def euler_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
 
 @lru_cache(maxsize=None)
 def _euler_inverse_cached(eps: tuple[int, ...]) -> linalg.IntMatrix:
-    return linalg.inverse_integer(_euler_cached(eps))
+    m = range(len(eps) - 1)
+    return tuple(tuple(int(_path(eps, i, j)) for j in m) for i in m)
 
 
 def euler_inverse(epsilon: Sequence[int]) -> linalg.IntMatrix:
-    """Exact integer inverse of the Euler matrix (it is unipotent)."""
+    """Exact integer inverse of the Euler matrix E = I - A, A the arrows of
+    an acyclic quiver: E^{-1} = I + A + A^2 + ... counts the paths i -> j."""
     eps = as_sign_sequence(epsilon)
     if len(eps) < 2:
         raise ValueError("the quiver needs n >= 2")

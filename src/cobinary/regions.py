@@ -182,24 +182,6 @@ def mutate(tree: MixedCobinaryTree, k: int) -> MixedCobinaryTree:
     return MixedCobinaryTree(tree.n, tree.epsilon, new_edges)
 
 
-def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:
-    """Column recipe for mutation at k: add column k to the columns of the
-    moved edges, then negate column k.  Independent consistency route for
-    :func:`mutate`."""
-    moved = {e.index for e in _moved_edges(tree, tree.edge(k)) if e is not None}
-    cmat = c_matrix(tree)
-    ck = cmat.column(k)
-    cols = []
-    for j, col in enumerate(cmat.columns, start=1):
-        if j == k:
-            cols.append(tuple(-x for x in col))
-        elif j in moved:
-            cols.append(tuple(a + b for a, b in zip(col, ck)))
-        else:
-            cols.append(col)
-    return CMatrix(tuple(cols))
-
-
 def mutation_sequence(
     tree: MixedCobinaryTree, ks: Sequence[int]
 ) -> MixedCobinaryTree:

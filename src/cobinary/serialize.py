@@ -58,8 +58,13 @@ def cluster_to_obj(cluster: ClusterMatrix) -> list[list[int]]:
     return [list(col) for col in cluster.columns]
 
 
-def cluster_from_obj(obj: Sequence[Sequence[int]]) -> ClusterMatrix:
-    return ClusterMatrix(tuple(tuple(int(x) for x in col) for col in obj))
+def cluster_from_obj(obj: Any) -> ClusterMatrix:
+    """An array of integer columns, as many as each is long; else ValueError."""
+    if not isinstance(obj, list) or not all(isinstance(col, list) for col in obj):
+        raise ValueError("a cluster matrix is an array of columns")
+    if not all(type(x) is int for col in obj for x in col):
+        raise ValueError("cluster matrix entries must be integers")
+    return ClusterMatrix(tuple(map(tuple, obj)))
 
 
 def exchange_to_obj(ex: ExchangeMatrix) -> dict[str, list[list[int]]]:

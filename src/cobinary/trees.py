@@ -151,20 +151,36 @@ class MixedCobinaryTree:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryTree:
-    """Internal node of an ordinary full binary tree; a leaf is None."""
+    """Internal node of an ordinary full binary tree; a leaf is None.
+
+    `==` and `hash` compare `shape()`, so they work at any depth.
+    """
 
     left: "BinaryTree | None" = None
     right: "BinaryTree | None" = None
 
-    def internal_count(self) -> int:
-        count, stack = 0, [self]
+    def shape(self) -> tuple[bool, ...]:
+        """Preorder walk, True at an internal node and False at a leaf: the
+        structural identity of the tree."""
+        out, stack = [], [self]
         while stack:
             node = stack.pop()
-            count += 1
-            stack += [c for c in (node.left, node.right) if c is not None]
-        return count
+            out.append(node is not None)
+            stack += (node.right, node.left) if node else ()
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BinaryTree):
+            return NotImplemented
+        return self.shape() == other.shape()
+
+    def __hash__(self) -> int:
+        return hash(self.shape())
+
+    def internal_count(self) -> int:
+        return sum(self.shape())
 
 
 def catalan(n: int) -> int:

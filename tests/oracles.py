@@ -4,16 +4,24 @@ public API."""
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, permutations, product
+from typing import Iterator, Sequence
 
 from cobinary import (
+    CMatrix,
     ClusterMatrix,
     MixedCobinaryTree,
     almost_positive_roots,
     as_sign_sequence,
+    c_matrix,
+    euler_matrix,
     is_cluster_matrix,
+    is_root_vector,
+    linalg,
+    projective_roots,
+    root_from_vector,
 )
+from cobinary.regions import _moved_edges
 
 
 def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]:
@@ -39,3 +47,81 @@ def region_contains_by_gaps(
     on every edge (>= 0 when strict is False)."""
     gaps = [e.slope * (x[e.q - 1] - x[e.p - 1]) for e in tree.edges]
     return all(g > 0 if strict else g >= 0 for g in gaps)
+
+
+def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:
+    """Column recipe for mutation at k: add column k to the columns of the
+    moved edges, then negate column k."""
+    moved = {e.index for e in _moved_edges(tree, tree.edge(k)) if e is not None}
+    cmat = c_matrix(tree)
+    ck = cmat.column(k)
+    cols = []
+    for j, col in enumerate(cmat.columns, start=1):
+        if j == k:
+            cols.append(tuple(-x for x in col))
+        elif j in moved:
+            cols.append(tuple(a + b for a, b in zip(col, ck)))
+        else:
+            cols.append(col)
+    return CMatrix(tuple(cols))
+
+
+def cluster_violation_by_matrix(
+    candidate: Sequence[Sequence[int]], epsilon: Sequence[int]
+) -> str | None:
+    """The cluster test with the Euler form as a matrix product and the
+    projective roots found by scanning the rows of E^{-1}."""
+    eps = as_sign_sequence(epsilon)
+    n = len(eps)
+    cols = tuple(tuple(int(x) for x in c) for c in candidate)
+    if n == 1:
+        return None if cols == () else "a single node admits only the empty cluster"
+    if len(cols) != n - 1:
+        return f"expected {n - 1} columns, got {len(cols)}"
+    if any(len(col) != n - 1 for col in cols):
+        return "column of wrong length"
+    if len(set(cols)) != len(cols):
+        return "columns are not distinct"
+    positive = []
+    for col in cols:
+        if is_root_vector(col) and root_from_vector(col).sign == 1:
+            positive.append(True)
+        elif tuple(-x for x in col) in projective_roots(eps):
+            positive.append(False)
+        else:
+            return f"column {col} is not an almost positive root"
+    e = euler_matrix(eps)
+    for i, vi in enumerate(cols):
+        row = linalg.vec_mat(vi, e)
+        for j, vj in enumerate(cols):
+            if positive[j] and linalg.dot(row, vj) < 0:
+                return (
+                    f"columns {i + 1} and {j + 1} are incompatible: "
+                    f"v_{i + 1}^t E v_{j + 1} < 0"
+                )
+    return None
+
+
+def pairing_by_product(tree: MixedCobinaryTree, cluster: ClusterMatrix) -> bool:
+    """Whether V^t E C(T) = I, by two dense matrix products."""
+    if tree.n == 1:
+        return cluster.columns == ()
+    vt_e = linalg.mat_mul(linalg.as_matrix(cluster.columns), euler_matrix(tree.epsilon))
+    return linalg.mat_mul(vt_e, c_matrix(tree).rows) == linalg.identity(tree.n - 1)
+
+
+def rankings_with_tie_breaks(x: Sequence) -> Iterator[tuple[int, ...]]:
+    """Every permutation ranking x: ascending index on ties first, then every
+    other order of the tied groups, the last group turning fastest."""
+    groups: dict = {}
+    for i, v in enumerate(x):
+        groups.setdefault(v, []).append(i)
+    pools = [tuple(groups[v]) for v in sorted(groups)]
+    for choice in product(*(tuple(permutations(pool)) for pool in pools)):
+        sigma = [0] * len(x)
+        rank = 1
+        for block in choice:
+            for i in block:
+                sigma[i] = rank
+                rank += 1
+        yield tuple(sigma)

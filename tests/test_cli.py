@@ -225,6 +225,30 @@ def test_bad_values_are_json_usage_errors(args):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("command", [("bij", "to-tree"), ("clusters", "c-matrix")])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"a":1}',
+        '[[1,0],{"0":1}]',
+        "[1,0]",
+        "[[1,0],[0]]",
+        '[[1,0],[0,"x"]]',
+        "[[1.0,0],[0,1]]",
+        "[[true,0],[0,1]]",
+        "[[1]]",
+        "[]",
+    ],
+)
+def test_malformed_cluster_payloads_are_usage_errors(command, payload):
+    out = run_cli(*command, "--cluster", payload, "--epsilon", "1,1,1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    err = json.loads(out.stderr)
+    assert err["error"] == "usage"
+    assert err["message"].startswith("bad --cluster value: ")
+
+
 def test_arity_violation_reports_exact_json_on_stderr():
     tree = (
         '{"n":3,"epsilon":[1,1,1],"edges":[{"i":1,"p":1,"q":3,"slope":1},'

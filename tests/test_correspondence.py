@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary import linalg
+from cobinary import clusters, correspondence, linalg
 
 from conftest import (
     CLU_C_ROWS,
@@ -23,6 +24,12 @@ from conftest import (
     CLU_V_COLS,
     CLU_VTE_ROWS,
     all_epsilons,
+)
+from oracles import (
+    cluster_violation_by_matrix,
+    mutate_c_columns,
+    pairing_by_product,
+    rankings_with_tie_breaks,
 )
 
 # ---------------------------------------------------------------------------
@@ -191,7 +198,7 @@ def test_all_mutation_routes_agree():
                         cb.CMatrix(cb.fz_mutate(btilde, k).c_columns), eps
                     )
                     via_recipe = cb.tree_from_c_matrix(
-                        cb.mutate_c_columns(tree, k), eps
+                        mutate_c_columns(tree, k), eps
                     )
                     assert surgery == via_fz == via_recipe
                     if n <= 4:
@@ -304,3 +311,171 @@ def test_bijection_report_is_fully_verified():
     assert all(entry["verified"] for entry in report)
     trees = {entry["tree"] for entry in report}
     assert trees == set(cb.enumerate_trees((-1, 1, -1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the cut rule and the telescoping certificate
+# ---------------------------------------------------------------------------
+
+
+def test_cut_rule_is_the_inverse_c_matrix():
+    for n in range(2, 8):
+        for eps in all_epsilons(n):
+            for tree in cb.enumerate_trees(eps):
+                rows = tuple(cb.f_map(side) for side in correspondence._cut_sides(tree))
+                assert rows == linalg.inverse_integer(cb.c_matrix(tree).rows)
+
+
+def test_telescoping_pairing_agrees_with_the_matrix_product():
+    rng = random.Random(5)
+    checked = {True: 0, False: 0}
+    for n in range(2, 6):
+        for eps in all_epsilons(n):
+            trees = cb.enumerate_trees(eps)
+            clusters = [cb.tree_to_cluster(t) for t in trees]
+            for tree, cluster in zip(trees, clusters):
+                others = [cluster] + rng.sample(clusters, min(3, len(clusters)))
+                cols = list(cluster.columns)
+                rng.shuffle(cols)
+                others.append(cb.ClusterMatrix(tuple(cols)))
+                for other in others:
+                    got = cb.verify_pairing_identity(tree, other)
+                    assert got == pairing_by_product(tree, other)
+                    checked[got] += 1
+    assert checked[True] > 1000 and checked[False] > 1000
+
+
+def test_interval_euler_form_is_the_matrix_euler_form():
+    for n in range(2, 9):
+        for eps in all_epsilons(n):
+            counts = clusters._arrow_counts(eps)
+            vectors = [r.vector for r in cb.almost_positive_roots(eps)]
+            roots = [cb.root_from_vector(v) for v in vectors]
+            for u, a in zip(vectors, roots):
+                for v, b in zip(vectors, roots):
+                    assert clusters._root_euler(counts, a, b) == cb.euler_form(eps, u, v)
+
+
+def test_cluster_violation_matches_the_matrix_route():
+    rng = random.Random(17)
+    messages = set()
+    for trial in range(3000):
+        n = rng.randint(1, 7)
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        pool = [r.vector for r in cb.almost_positive_roots(eps)] if n > 1 else []
+        size = n - 1 if rng.random() < 0.9 else rng.randint(0, n)
+        cols = []
+        for _ in range(size):
+            if pool and rng.random() < 0.85:
+                cols.append(rng.choice(pool))
+            else:
+                cols.append(tuple(rng.choice((-1, 0, 1, 2)) for _ in range(n - 1)))
+        if cols and rng.random() < 0.03:
+            cols[-1] = cols[-1][:-1]
+        expected = cluster_violation_by_matrix(cols, eps)
+        assert cb.cluster_violation(cols, eps) == expected, (eps, cols)
+        messages.add(expected if expected is None else expected.split(" ")[0])
+    assert messages == {None, "expected", "column", "columns", "a"}
+
+
+def test_tied_rankings_follow_every_tie_break_in_order():
+    rng = random.Random(2)
+    for _ in range(300):
+        x = [rng.randint(0, 3) for _ in range(rng.randint(1, 7))]
+        assert correspondence._tied_rankings(x, 24) == tuple(
+            islice(rankings_with_tie_breaks(x), 24)
+        )
+    # Forty tied values: no group's orders are all listed.
+    assert len(correspondence._tied_rankings((0,) * 40, 24)) == 24
+
+
+@st.composite
+def large_tree(draw):
+    n = draw(st.integers(min_value=12, max_value=40))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return cb.tree_from_permutation(sigma, eps)
+
+
+@given(large_tree())
+def test_tree_cluster_tree_round_trip_at_larger_n(tree):
+    cluster = cb.tree_to_cluster(tree)
+    assert cb.is_cluster_matrix(cluster, tree.epsilon)
+    assert cb.verify_pairing_identity(tree, cluster)
+    work = cb.cluster_to_tree_work(cluster, tree.epsilon)
+    assert work.tree.edges == tree.edges
+    assert work.c_matrix == cb.c_matrix(tree)
+
+
+def test_a_mislabelled_cut_fails_the_certificate():
+    for eps in all_epsilons(5):
+        for tree in cb.enumerate_trees(eps):
+            sides = correspondence._cut_sides(tree)
+            cluster = cb.tree_to_cluster(tree)
+            assert correspondence._telescopes(sides, tree)
+            for j in range(1, 5):
+                for k in range(j + 1, 5):
+                    triples = [e.triple for e in tree.edges]
+                    triples[j - 1], triples[k - 1] = triples[k - 1], triples[j - 1]
+                    swapped = tree.relabelled(triples)
+                    assert not correspondence._telescopes(sides, swapped)
+                    assert not cb.verify_pairing_identity(swapped, cluster)
+
+
+def test_mutant_cut_rules_are_caught(monkeypatch):
+    cut_sides = correspondence._cut_sides
+
+    def side_of_edge_two_twice(tree):
+        sides = cut_sides(tree)
+        return [sides[1]] + sides[1:]
+
+    def sides_of_edges_one_and_two_swapped(tree):
+        sides = cut_sides(tree)
+        return [sides[1], sides[0]] + sides[2:]
+
+    eps = (1, -1, -1, 1, -1)
+    trees = cb.enumerate_trees(eps)
+    monkeypatch.setattr(correspondence, "_cut_sides", side_of_edge_two_twice)
+    for tree in trees:
+        with pytest.raises(cb.CobinaryError):
+            cb.tree_to_cluster(tree)
+    monkeypatch.setattr(correspondence, "_cut_sides", sides_of_edges_one_and_two_swapped)
+    assert not any(entry["verified"] for entry in cb.bijection_report(eps))
+
+
+def test_decode_succeeds_exactly_on_clusters():
+    # Perturb one column of every cluster: swap in another almost positive
+    # root (n <= 4) or negate it (n <= 5).  A square matrix decodes to a
+    # tree exactly when it is a cluster, and then the pairing holds.
+    outcomes = set()
+    for n in range(2, 6):
+        for eps in all_epsilons(n):
+            pool = [r.vector for r in cb.almost_positive_roots(eps)] if n <= 4 else []
+            for cluster in cb.enumerate_clusters(eps):
+                for k, col in enumerate(cluster.columns):
+                    for new in pool + [tuple(-x for x in col)]:
+                        cols = cluster.columns[:k] + (new,) + cluster.columns[k + 1 :]
+                        candidate = cb.ClusterMatrix(cols)
+                        try:
+                            tree = cb.cluster_to_tree(candidate, eps)
+                        except cb.VerificationFailed:
+                            tree = None
+                        assert (tree is not None) == cb.is_cluster_matrix(cols, eps)
+                        assert tree is None or cb.verify_pairing_identity(tree, candidate)
+                        outcomes.add(tree is None)
+    assert outcomes == {True, False}
+
+
+def test_failed_certificates_are_named_by_gauss_jordan():
+    cases = [
+        ((-1, -1, -1), ((-1, -1), (1, 2)), "(V^t E)^{-1} has a non-root column"),
+        ((1, 1, 1), ((2, 0), (0, 1)), "V^t E is not invertible over Z: inverse has"),
+        ((1, 1, 1), ((1, 0), (1, 0)), "V^t E is not invertible over Z: matrix is"),
+        ((1, 1, 1), ((1, 0), (0, 1)), "no tie-break of the rank vector"),
+    ]
+    for eps, cols, message in cases:
+        with pytest.raises(cb.VerificationFailed) as info:
+            cb.cluster_to_tree(cb.ClusterMatrix(cols), eps)
+        assert str(info.value).startswith(message)
+    with pytest.raises(ValueError, match="3 nodes pair with clusters of 2 columns"):
+        cb.cluster_to_tree(cb.ClusterMatrix(((1,),)), (1, 1, 1))

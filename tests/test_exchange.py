@@ -65,6 +65,13 @@ def test_euler_inverse_is_nonnegative_everywhere():
             assert linalg.mat_mul(cb.euler_matrix(eps), inv) == linalg.identity(n - 1)
 
 
+def test_euler_inverse_is_the_gauss_jordan_inverse():
+    for n in range(2, 10):
+        for eps in all_epsilons(n):
+            e = cb.euler_matrix(eps)
+            assert cb.euler_inverse(eps) == linalg.inverse_integer(e)
+
+
 def test_x_matrix_superdiagonal_pattern():
     x = cb.x_matrix((-1, 1, -1, -1, 1))
     assert tuple(x[i][i + 1] for i in range(3)) == (1, -1, -1)

@@ -21,7 +21,7 @@ from conftest import (
     MUT_K,
     all_epsilons,
 )
-from oracles import region_contains_by_gaps
+from oracles import mutate_c_columns, region_contains_by_gaps
 
 # ---------------------------------------------------------------------------
 # c-vectors and c-matrices
@@ -203,7 +203,7 @@ def test_mutation_agrees_with_column_recipe_and_decode():
             for tree in cb.enumerate_trees(eps):
                 for k in range(1, n):
                     surgery = cb.mutate(tree, k)
-                    recipe = cb.mutate_c_columns(tree, k)
+                    recipe = mutate_c_columns(tree, k)
                     assert cb.c_matrix(surgery).columns == recipe.columns
                     assert cb.tree_from_c_matrix(recipe, eps) == surgery
 

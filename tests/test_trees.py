@@ -421,6 +421,29 @@ def test_gravity_map_at_large_n(eps):
     assert _has_shape(bt, binary_tree_to_obj(bt))
 
 
+def test_deep_binary_trees_compare_and_hash():
+    a = cb.gravity_map(cb.initial_tree((1,) * 1500))
+    b = cb.gravity_map(cb.initial_tree((1,) * 1500))
+    c = cb.gravity_map(cb.initial_tree((1, -1) * 750))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert len({a, b, c}) == 2
+
+
+def test_binary_tree_identity_is_structural():
+    trees = [bt for n in range(1, 6) for bt in cb.binary_trees(n)]
+    copies = [cb.binary_trees(n) for n in range(1, 6)]
+    for x, y in zip(trees, (bt for group in copies for bt in group)):
+        assert x is not y and x == y and hash(x) == hash(y)
+    for x in trees:
+        for y in trees:
+            assert (x == y) == (_shape(x) == _shape(y))
+    assert cb.BinaryTree() != None  # noqa: E711
+    with pytest.raises(AttributeError):
+        trees[0].left = None
+
+
 def test_gravity_walk_around_a_cycle_is_not_a_tree():
     # Three edges on four nodes: a cycle through the root 4, node 1 apart.
     tree = cb.MixedCobinaryTree(
