@@ -264,6 +264,8 @@ def _default_seed() -> int:
 
 def _cmd_verify_all(args) -> int:
     eps = _parse_epsilon(args.epsilon)
+    if args.samples < 1:
+        raise UsageError(f"bad --samples value {args.samples}: need at least 1")
     seed = args.seed if args.seed is not None else _default_seed()
     results, summary = verify.run_all(
         eps, n_max=args.n_max, samples=args.samples, seed=seed

@@ -228,32 +228,27 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
 
     Compatibility is a pairwise condition, so the clusters are exactly the
     (n-1)-cliques of the compatibility graph on the almost positive roots.
+    Each clique grows from the later roots compatible with all its members.
     """
     eps = as_sign_sequence(epsilon)
     n = len(eps)
     if n == 1:
         return [ClusterMatrix(())]
-    roots = almost_positive_roots(eps)
-    decoded = [root_from_vector(r.vector) for r in roots]
-    m = len(roots)
+    roots = [*positive_roots(n), *(Root(p, q, -1) for p, q in _projective_intervals(eps))]
+    vectors = [r.vector(n) for r in roots]
     counts = _arrow_counts(eps)
-    compatible = [[_compatible(counts, u, v) for v in decoded] for u in decoded]
+    compatible = [[_compatible(counts, u, v) for v in roots] for u in roots]
     found: list[ClusterMatrix] = []
-    clique: list[int] = []
 
-    def grow(start: int) -> None:
-        if len(clique) == n - 1:
-            found.append(
-                ClusterMatrix(tuple(sorted(roots[i].vector for i in clique)))
-            )
+    def grow(clique: list[int], candidates: list[int]) -> None:
+        need = n - 1 - len(clique)
+        if need == 0:
+            found.append(ClusterMatrix(tuple(sorted(vectors[i] for i in clique))))
             return
-        for c in range(start, m - (n - 2 - len(clique))):
-            if all(compatible[c][i] for i in clique):
-                clique.append(c)
-                grow(c + 1)
-                clique.pop()
+        for at, c in enumerate(candidates[: len(candidates) - need + 1]):
+            grow(clique + [c], [d for d in candidates[at + 1 :] if compatible[c][d]])
 
-    grow(0)
+    grow([], list(range(len(roots))))
     found.sort(key=lambda v: v.columns)
     return found
 

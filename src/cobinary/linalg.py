@@ -1,11 +1,11 @@
 """Small exact linear algebra kernel for integer matrices.
 
 Matrices are immutable tuples of row tuples.  Everything here is exact and
-fraction-free (Bareiss): determinants come from integer-preserving
-elimination, and an inverse from one Gauss-Jordan elimination on [M | I]
-that leaves det(M) * M^{-1} in the right-hand block, followed by explicit
-divisibility checks, so a non-integral inverse is detected rather than
-rounded.  Both run in O(n^3) integer operations.
+fraction-free: one Gauss-Jordan elimination with Bareiss's integer update
+gives the determinant as its last pivot and, run on [M | I], leaves
+det(M) * M^{-1} in the right-hand block; explicit divisibility checks
+then detect a non-integral inverse rather than round it.  Both run in
+O(n^3) integer operations.
 """
 
 from __future__ import annotations
@@ -64,17 +64,13 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+def _eliminate(a: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan on the first n columns of the rows `a`, in
+    place; every entry stays a minor, so each division is exact.  Returns
+    (d, swap_sign): the first n columns end as d * I and their determinant
+    is swap_sign * d, with d = 0 at the first pivot no row swap can fill."""
+    prev, sign = 1, 1
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -82,12 +78,23 @@ def det(m: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                return 0, sign
+        pivot_row, pivot = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return prev, sign
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    d, sign = _eliminate([list(row) for row in m], n)
+    return sign * d
 
 
 def inverse_integer(m: IntMatrix) -> IntMatrix:
@@ -101,28 +108,16 @@ def inverse_integer(m: IntMatrix) -> IntMatrix:
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                raise SingularV("matrix is singular")
-        pivot_row, pivot = a[k], a[k][k]
-        for i in range(n):
-            if i != k:  # exact: every entry is a minor of [M | I]
-                f = a[i][k]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = pivot
+    d, _ = _eliminate(a, n)
+    if d == 0:
+        raise SingularV("matrix is singular")
     for row in a:
         for x in row[n:]:
-            if x % prev:
+            if x % d:
                 raise NonIntegralResult(
-                    f"inverse has non-integer entry {Fraction(x, prev)}"
+                    f"inverse has non-integer entry {Fraction(x, d)}"
                 )
-    return tuple(tuple(x // prev for x in row[n:]) for row in a)
+    return tuple(tuple(x // d for x in row[n:]) for row in a)
 
 
 def is_skew_symmetric(m: IntMatrix) -> bool:

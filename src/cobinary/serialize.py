@@ -31,18 +31,30 @@ def tree_to_obj(tree: MixedCobinaryTree) -> dict[str, Any]:
     }
 
 
-def tree_from_obj(obj: dict[str, Any]) -> MixedCobinaryTree:
+def _json_int(x: Any) -> int:
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def tree_from_obj(obj: Any) -> MixedCobinaryTree:
+    """Read a tree whose entries are JSON integers.  Any other shape raises
+    CobinaryError ("malformed tree object"); an edge set that is not a tree
+    keeps the error of make_tree (NotATree, ArityViolation, WallViolation)."""
     try:
-        epsilon = obj["epsilon"]
+        epsilon = [_json_int(s) for s in obj["epsilon"]]
         edges = [
-            SignedEdge(int(e["i"]), int(e["p"]), int(e["q"]), int(e["slope"]))
+            SignedEdge(*(_json_int(e[key]) for key in ("i", "p", "q", "slope")))
             for e in obj["edges"]
         ]
-    except (KeyError, TypeError) as exc:
+        tree = make_tree(epsilon, edges)
+        n = _json_int(obj["n"]) if "n" in obj else tree.n
+    except CobinaryError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise CobinaryError(f"malformed tree object: {exc}") from exc
-    tree = make_tree(epsilon, edges)
-    if "n" in obj and int(obj["n"]) != tree.n:
-        raise CobinaryError(f"tree object claims n={obj['n']} but has {tree.n} nodes")
+    if n != tree.n:
+        raise CobinaryError(f"tree object claims n={n} but has {tree.n} nodes")
     return tree
 
 
@@ -74,13 +86,14 @@ def exchange_to_obj(ex: ExchangeMatrix) -> dict[str, list[list[int]]]:
     }
 
 
-def exchange_from_obj(obj: dict[str, Any]) -> ExchangeMatrix:
+def exchange_from_obj(obj: Any) -> ExchangeMatrix:
+    """Read {"B", "C"} of JSON integers; any other shape raises CobinaryError."""
     try:
         return ExchangeMatrix(
-            tuple(tuple(int(x) for x in row) for row in obj["B"]),
-            tuple(tuple(int(x) for x in row) for row in obj["C"]),
+            tuple(tuple(map(_json_int, row)) for row in obj["B"]),
+            tuple(tuple(map(_json_int, row)) for row in obj["C"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CobinaryError(f"malformed exchange matrix object: {exc}") from exc
 
 

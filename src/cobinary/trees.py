@@ -17,7 +17,10 @@ Two facts drive everything in this module:
 * For a fixed sign sequence there are Catalan-many trees, generated by a
   recursion on the rightmost node: its removal splits the tree into an
   "upper" and a "lower" part whose vertex sets are forced once their sizes
-  are chosen, and reassembly is unique.
+  are chosen, and reassembly is unique.  Mirroring through a horizontal
+  axis negates every sign and slope and swaps child and parent slots, so
+  one joining rule serves both signs: each part lists its open slots on
+  the side where the joining node forks, then those on the other side.
 
 Trees compare equal when they have the same sign sequence and the same set
 of (p, q, slope) triples; edge labels and embeddings are not part of the
@@ -357,6 +360,8 @@ def _check_spanning_tree(n: int, edges: Sequence[SignedEdge]) -> None:
         return v
 
     for e in edges:
+        if e.q > n:
+            raise ValueError("edge endpoint out of range")
         a, b = find(e.p), find(e.q)
         if a == b:
             raise NotATree(f"edge ({e.p}, {e.q}) closes a cycle")
@@ -444,68 +449,52 @@ def initial_tree(epsilon: Sequence[int]) -> MixedCobinaryTree:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-# State of a partially built tree: edge triples, plus the owners of the open
-# parent slots (left to right) and of the open child slots (left to right).
+# State of a partially built tree, oriented for the node of sign s that
+# joins it: edge triples, then the owners of its open slots (left to right)
+# facing the side where sign s forks, then of those facing away from it.
 _EnumState = tuple[tuple[EdgeTriple, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _enumerate_states(
     nodes: tuple[int, ...],
+    sign: int,
     eps: SignSequence,
-    memo: dict[tuple[int, ...], tuple[_EnumState, ...]],
+    memo: dict[tuple[tuple[int, ...], int], tuple[_EnumState, ...]],
 ) -> tuple[_EnumState, ...]:
-    if nodes in memo:
-        return memo[nodes]
     if not nodes:
-        memo[nodes] = (((), (), ()),)
-        return memo[nodes]
-
+        return (((), (), ()),)
+    key = (nodes, sign)
+    if key in memo:
+        return memo[key]
     m = nodes[-1]
+    s = eps[m - 1]
     rest = nodes[:-1]
-    forks_down = [v for v in rest if eps[v - 1] == 1]
-    forks_up = [v for v in rest if eps[v - 1] == -1]
     # Order in which the remaining nodes are forced into the part reached
     # through node m's rightward slot, as its size grows.
-    if eps[m - 1] == 1:
-        chain = list(reversed(forks_up)) + forks_down
-    else:
-        chain = list(reversed(forks_down)) + forks_up
-
+    chain = [v for v in reversed(rest) if eps[v - 1] != s]
+    chain += [v for v in rest if eps[v - 1] == s]
     out: list[_EnumState] = []
     for i in range(len(rest) + 1):
         upper_set = frozenset(chain[:i])
         upper = tuple(sorted(upper_set))
         lower = tuple(v for v in rest if v not in upper_set)
-        for e_u, up_u, down_u in _enumerate_states(upper, eps, memo):
-            for e_d, up_d, down_d in _enumerate_states(lower, eps, memo):
+        for e_u, fork_u, away_u in _enumerate_states(upper, s, eps, memo):
+            for e_d, fork_d, away_d in _enumerate_states(lower, s, eps, memo):
+                # m's unforked slot takes the upper part's rightmost open slot
+                # facing the fork, its left fork slot the lower part's
+                # rightmost facing away; its right fork slot stays open.
                 edges = e_u + e_d
-                if eps[m - 1] == 1:
-                    # m is a fork-down node: its parent hangs from the
-                    # rightmost open child slot of the upper part, its left
-                    # child takes the rightmost open parent slot of the
-                    # lower part; its right child is always a leaf.
-                    if upper:
-                        edges += ((down_u[-1], m, -1),)
-                    if lower:
-                        edges += ((up_d[-1], m, 1),)
-                    up = (up_d[:-1] if lower else ()) + (up_u if upper else (m,))
-                    down = (down_u[:-1] if upper else ()) + (
-                        down_d + (m,) if lower else (m, m)
-                    )
-                else:
-                    if upper:
-                        edges += ((up_u[-1], m, 1),)
-                    if lower:
-                        edges += ((down_d[-1], m, -1),)
-                    down = (down_d[:-1] if lower else ()) + (
-                        down_u if upper else (m,)
-                    )
-                    up = (up_u[:-1] if upper else ()) + (
-                        up_d + (m,) if lower else (m, m)
-                    )
-                out.append((edges, up, down))
-    memo[nodes] = tuple(out)
-    return memo[nodes]
+                if upper:
+                    edges += ((fork_u[-1], m, -s),)
+                if lower:
+                    edges += ((away_d[-1], m, s),)
+                fork = fork_u[:-1] + (fork_d + (m,) if lower else (m, m))
+                away = away_d[:-1] + (away_u if upper else (m,))
+                out.append((edges, fork, away))
+    memo[nodes, s] = tuple(out)
+    # A node of the other sign sees the horizontal mirror: the sides swap.
+    memo[nodes, -s] = tuple((edges, away, fork) for edges, fork, away in out)
+    return memo[key]
 
 
 def enumerate_trees(epsilon: Sequence[int]) -> list[MixedCobinaryTree]:
@@ -514,8 +503,7 @@ def enumerate_trees(epsilon: Sequence[int]) -> list[MixedCobinaryTree]:
     The count is always the Catalan number of the length of `epsilon`.
     """
     eps = as_sign_sequence(epsilon)
-    memo: dict[tuple[int, ...], tuple[_EnumState, ...]] = {}
-    states = _enumerate_states(tuple(range(1, len(eps) + 1)), eps, memo)
+    states = _enumerate_states(tuple(range(1, len(eps) + 1)), eps[-1], eps, {})
     # One n and one epsilon: the sorted triples alone give the canonical order.
     ordered = sorted(tuple(sorted(edges)) for edges, _, _ in states)
     return [_tree_from_triples(eps, triples) for triples in ordered]

@@ -18,7 +18,7 @@ from math import factorial, lcm
 from typing import Callable, Sequence
 
 from . import linalg
-from .clusters import enumerate_clusters
+from .clusters import classical_c_matrix, enumerate_clusters
 from .correspondence import (
     tree_to_cluster,
     cluster_to_tree,
@@ -92,6 +92,19 @@ def suite_perm_partition(eps, n_max, samples, seed) -> SuiteResult:
     return SuiteResult("perm-partition", ok, f"mode=sampled samples={samples}")
 
 
+def _walls(eps, n_max, samples, rng) -> list[tuple[MixedCobinaryTree, int]]:
+    """Every (tree, edge) pair when n <= n_max, else `samples` seeded draws
+    of a tree (from a shuffled height order) and an edge."""
+    n = len(eps)
+    if n <= n_max:
+        return [(tree, k) for tree in enumerate_trees(eps) for k in range(1, n)]
+    return [
+        (tree_from_permutation(_random_permutation(rng, n), eps),
+         rng.randint(1, n - 1))
+        for _ in range(samples)
+    ]
+
+
 def _theorem2_holds(tree: MixedCobinaryTree, k: int) -> bool:
     left = exchange_matrix(mutate(tree, k))
     right = fz_mutate(exchange_matrix(tree), k)
@@ -102,21 +115,10 @@ def suite_theorem2(eps, n_max, samples, seed) -> SuiteResult:
     n = len(eps)
     if n == 1:
         return SuiteResult("theorem2", True, "checked=0 (no edges)")
-    if n <= n_max:
-        checked = 0
-        ok = True
-        for tree in enumerate_trees(eps):
-            for k in range(1, n):
-                ok = ok and _theorem2_holds(tree, k)
-                checked += 1
-        return SuiteResult("theorem2", ok, f"mode=exhaustive checked={checked}")
-    rng = _rng(seed, "theorem2")
-    ok = True
-    for _ in range(samples):
-        tree = tree_from_permutation(_random_permutation(rng, n), eps)
-        k = rng.randint(1, n - 1)
-        ok = ok and _theorem2_holds(tree, k)
-    return SuiteResult("theorem2", ok, f"mode=sampled checked={samples}")
+    walls = _walls(eps, n_max, samples, _rng(seed, "theorem2"))
+    ok = all(_theorem2_holds(tree, k) for tree, k in walls)
+    mode = "exhaustive" if n <= n_max else "sampled"
+    return SuiteResult("theorem2", ok, f"mode={mode} checked={len(walls)}")
 
 
 def suite_clusters(eps, n_max, samples, seed) -> SuiteResult:
@@ -133,12 +135,17 @@ def suite_bijection(eps, n_max, samples, seed) -> SuiteResult:
     trees = set(enumerate_trees(eps))
     clusters = enumerate_clusters(eps)
     ok = len(trees) == len(clusters)
+    # The Gauss-Jordan c-matrix is the independent oracle, on a seeded sample.
+    rng = _rng(seed, "bijection")
+    oracle = set(rng.sample(range(len(clusters)), min(50, len(clusters))))
     mapped = set()
-    for cluster in clusters:
+    for i, cluster in enumerate(clusters):
         tree = cluster_to_tree(cluster, eps)
         back = tree_to_cluster(tree)
         ok = ok and back.key() == cluster.key()
         ok = ok and verify_pairing_identity(tree, back)
+        if i in oracle:
+            ok = ok and c_matrix(tree) == classical_c_matrix(cluster, eps)
         mapped.add(tree)
     ok = ok and mapped == trees
     return SuiteResult("bijection", ok, f"pairs={len(clusters)}")
@@ -169,25 +176,11 @@ def suite_region_partition(eps, n_max, samples, seed) -> SuiteResult:
 
 
 def suite_wall_stability(eps, n_max, samples, seed) -> SuiteResult:
-    n = len(eps)
-    if n == 1:
+    if len(eps) == 1:
         return SuiteResult("wall-stability", True, "checked=0 (no walls)")
-    checked = 0
-    ok = True
-    if n <= n_max:
-        pool = [(t, k) for t in enumerate_trees(eps) for k in range(1, n)]
-    else:
-        rng = _rng(seed, "wall-stability")
-        pool = [
-            (tree_from_permutation(_random_permutation(rng, n), eps),
-             rng.randint(1, n - 1))
-            for _ in range(samples)
-        ]
-    for tree, k in pool:
-        _, stable = wall_stability_point(tree, k)
-        ok = ok and stable
-        checked += 1
-    return SuiteResult("wall-stability", ok, f"checked={checked}")
+    walls = _walls(eps, n_max, samples, _rng(seed, "wall-stability"))
+    ok = all(wall_stability_point(tree, k)[1] for tree, k in walls)
+    return SuiteResult("wall-stability", ok, f"checked={len(walls)}")
 
 
 def _gamma_table_holds(eps) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -176,6 +177,23 @@ def test_verify_all_report_and_exit_code():
     assert sum(1 for line in lines if line.startswith("suite ")) == 8
 
 
+# sha256 of the `verify all` stdout: at n=6 every suite runs exhaustively,
+# at n=7 with --n-max 2 the sampled branches run.
+VERIFY_SHA256 = {
+    ("--epsilon", "1,1,-1,-1,1,-1"):
+        "6adfc2d41e89fe4fddceaf60e86e3a726082ce385cb8a4a2090ab006ad4bb52a",
+    ("--epsilon", "-1,1,1,-1,-1,1,-1", "--n-max", "2", "--samples", "40"):
+        "c0fb4d06bfe25dbc633d16ce274ef6be03db13f34e234816cd48604ac95c6a59",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_SHA256))
+def test_verify_all_stdout_is_pinned(args):
+    out = run_cli("verify", "all", *args, "--seed", "0")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == VERIFY_SHA256[args]
+
+
 def test_verify_is_seed_deterministic():
     a = run_cli("verify", "all", "--epsilon", "1,-1,1,-1", "--samples", "50",
                 "--seed", "7")
@@ -215,6 +233,7 @@ THREE_NODE_TREE = (
         ("clusters", "stability", "--epsilon", "1,1,1", "--p", "1", "--q", "2",
          "--v", "0"),
         ("matrix", "fz-mutate", "--btilde", '{"B":[[0]],"C":[[1]]}', "--k", "3"),
+        ("verify", "all", "--epsilon", "1,1,1", "--samples", "0"),
     ],
 )
 def test_bad_values_are_json_usage_errors(args):
@@ -247,6 +266,42 @@ def test_malformed_cluster_payloads_are_usage_errors(command, payload):
     err = json.loads(out.stderr)
     assert err["error"] == "usage"
     assert err["message"].startswith("bad --cluster value: ")
+
+
+def _tree_payload(**changes):
+    obj = json.loads(THREE_NODE_TREE)
+    edge = changes.pop("edge", {})
+    obj["edges"][1].update(edge)
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("trees", "perms", "--tree", _tree_payload(edge={"slope": "x"})),
+        ("trees", "perms", "--tree", _tree_payload(edge={"slope": 1.5})),
+        ("trees", "perms", "--tree", _tree_payload(epsilon=[1, 2, 1])),
+        ("trees", "perms", "--tree", _tree_payload(epsilon="ab")),
+        ("trees", "perms", "--tree", _tree_payload(edge={"p": 3})),
+        ("trees", "perms", "--tree", _tree_payload(edge={"q": 7})),
+        ("trees", "perms", "--tree", _tree_payload(edge={"i": 5})),
+        ("trees", "perms", "--tree", _tree_payload(n="z")),
+        ("matrix", "fz-mutate", "--k", "1", "--btilde",
+         json.dumps({"B": [[0, "x"], [0, 0]], "C": [[1, 0], [0, 1]]})),
+        ("matrix", "fz-mutate", "--k", "1", "--btilde",
+         json.dumps({"B": [[0, 1], [-1, 0]], "C": [[1, 0, 0], [0, 1, 0]]})),
+        ("matrix", "fz-mutate", "--k", "1", "--btilde",
+         json.dumps({"B": [[0, 1], [1, 0]], "C": [[1, 0], [0, 1]]})),
+    ],
+)
+def test_malformed_tree_and_exchange_payloads_are_domain_errors(args):
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    err = json.loads(out.stderr)
+    assert err["error"] == "CobinaryError"
+    assert re.match(r"malformed (tree|exchange matrix) object: ", err["message"])
 
 
 def test_arity_violation_reports_exact_json_on_stderr():

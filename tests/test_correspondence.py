@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary import clusters, correspondence, linalg
+from cobinary import clusters, correspondence, linalg, verify
 
 from conftest import (
     CLU_C_ROWS,
@@ -441,6 +441,22 @@ def test_mutant_cut_rules_are_caught(monkeypatch):
             cb.tree_to_cluster(tree)
     monkeypatch.setattr(correspondence, "_cut_sides", sides_of_edges_one_and_two_swapped)
     assert not any(entry["verified"] for entry in cb.bijection_report(eps))
+
+
+def test_bijection_suite_consults_the_gauss_jordan_oracle(monkeypatch):
+    # A decode that swaps two edge labels still round-trips (the cluster of
+    # the swapped tree is the swapped cluster) and still pairs with that
+    # cluster; only the classical c-matrix of the original cluster sees it.
+    eps = (1, -1, -1, 1, -1)
+    assert verify.suite_bijection(eps, 6, 10, 0).passed
+
+    def swap_first_two_labels(cluster, epsilon):
+        tree = cb.cluster_to_tree(cluster, epsilon)
+        triples = [e.triple for e in tree.edges]
+        return tree.relabelled([triples[1], triples[0], *triples[2:]])
+
+    monkeypatch.setattr(verify, "cluster_to_tree", swap_first_two_labels)
+    assert not verify.suite_bijection(eps, 6, 10, 0).passed
 
 
 def test_decode_succeeds_exactly_on_clusters():

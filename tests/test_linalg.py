@@ -1,6 +1,6 @@
-"""Exact integer inverse: fraction-free Gauss-Jordan against a rational
-reference, the zero-pivot row swap, error types and messages, and pinned
-CLI output of the commands built on it."""
+"""Exact determinant and integer inverse: the one fraction-free elimination
+against rational references, the zero-pivot row swap, error types and
+messages, and pinned CLI output of the commands built on it."""
 
 from __future__ import annotations
 
@@ -67,23 +67,51 @@ def unimodular(rng, n):
     return tuple(tuple(row) for row in m)
 
 
-def test_inverse_matches_rational_reference():
+def seeded_matrices():
     rng = random.Random(20240518)
-    seen = set()
     for n in range(11):
         for trial in range(60):
             if trial % 2:
-                m = unimodular(rng, n)
+                yield unimodular(rng, n)
             else:
                 bound = rng.choice((1, 2, 5))
-                m = tuple(
+                yield tuple(
                     tuple(rng.choice((0, rng.randint(-bound, bound))) for _ in range(n))
                     for _ in range(n)
                 )
-            want = expected_outcome(m)
-            assert outcome(m) == want, m
-            seen.add(want[0])
+
+
+def reference_det(m):
+    """Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m]
+    d = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            d = -d
+        d *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return d
+
+
+def test_inverse_matches_rational_reference():
+    seen = set()
+    for m in seeded_matrices():
+        want = expected_outcome(m)
+        assert outcome(m) == want, m
+        seen.add(want[0])
     assert seen == {"ok", "SingularV", "NonIntegralResult"}
+
+
+def test_det_matches_rational_reference():
+    dets = [linalg.det(m) for m in seeded_matrices()]
+    assert dets == [reference_det(m) for m in seeded_matrices()]
+    assert 0 in dets and any(abs(d) > 1 for d in dets)
 
 
 @pytest.mark.parametrize(

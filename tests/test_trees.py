@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary.serialize import binary_tree_to_obj
+from cobinary.serialize import binary_tree_to_obj, dumps, tree_to_obj
 
 from conftest import (
     FAN_EDGES,
@@ -287,6 +288,20 @@ def test_enumeration_is_canonically_ordered_and_deterministic():
     assert [t.triples for t in first] == sorted(t.triples for t in first)
     for tree in first:
         assert [e.triple for e in tree.edges] == sorted(e.triple for e in tree.edges)
+
+
+# sha256 of the serialized trees, in order, of every sign sequence with
+# n <= 7: pins the enumeration's labels and order for both signs of every node.
+ALL_ENUMERATIONS_SHA256 = "1d0fc781c92fd4dce05a955b5718ed30e889547c01e0525ec8348115ba8d10e0"
+
+
+def test_enumeration_of_every_small_sign_sequence_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for eps in all_epsilons(n):
+            trees = [tree_to_obj(t) for t in cb.enumerate_trees(eps)]
+            digest.update((dumps(trees) + "\n").encode())
+    assert digest.hexdigest() == ALL_ENUMERATIONS_SHA256
 
 
 # ---------------------------------------------------------------------------
