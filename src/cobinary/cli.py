@@ -3,8 +3,8 @@
 Every subcommand is pure: identical inputs produce byte-identical JSON on
 stdout.  Payload arguments (--tree, --cluster, --btilde) accept either a
 file path or inline JSON (anything starting with '{' or '[').  Domain
-errors print a JSON payload on stderr and exit 1; usage and parse errors
-exit 2.
+errors print a JSON payload on stderr and exit 1; usage and parse errors,
+argparse's own included, print {"error": "usage", ...} and exit 2.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import linalg, serialize, verify
 from .clusters import (
@@ -47,6 +47,13 @@ DOMAIN_ERROR = 1
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage text and exit."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _parse_epsilon(text: str) -> tuple[int, ...]:
@@ -279,7 +286,7 @@ def _cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cobinary",
         description="Mixed cobinary trees, c-vector mutation, and clusters, exactly.",
     )
@@ -386,8 +393,8 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    args = parser.parse_args(_merge_value_flags(raw))
     try:
+        args = parser.parse_args(_merge_value_flags(raw))
         return args.run(args)
     except UsageError as exc:
         sys.stderr.write(serialize.dumps({"error": "usage", "message": str(exc)}) + "\n")

@@ -127,9 +127,6 @@ class ClusterMatrix:
     def rows(self) -> linalg.IntMatrix:
         return linalg.transpose(self.columns)
 
-    def sorted_columns(self) -> "ClusterMatrix":
-        return ClusterMatrix(tuple(sorted(self.columns)))
-
     def key(self) -> tuple[IntVector, ...]:
         """Order-insensitive identity of the cluster."""
         return tuple(sorted(self.columns))

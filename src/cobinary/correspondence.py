@@ -12,9 +12,10 @@ slope_j * (1_{U_k}(q_j) - 1_{U_k}(p_j)) = [j = k].  So V^t = C(T)^{-1} E^{-1}
 needs no inversion.  Rows of V^t E lift back to the indicators 1_{U_k},
 whose sum rises by exactly 1 along every edge: its first ranking rebuilds
 the tree, and edge k is the edge crossing cut k.  The same sums certify
-V^t E C(T) = I in O(n^2) integer comparisons; only a failed certificate
-inverts V^t E, to name the failure.  `clusters.classical_c_matrix` keeps
-the Gauss-Jordan route as the independent oracle.
+V^t E C(T) = I in O(n^2) integer comparisons, once per (tree, cluster)
+pair; only a failed certificate inverts V^t E, to name the failure.  The
+tree then re-encodes to its cluster exactly.  `clusters.classical_c_matrix`
+keeps the Gauss-Jordan route as the independent oracle.
 
 Every wall of a tree's region maps into a stability domain: identifying
 the two endpoint heights of one edge and keeping every other comparison
@@ -173,24 +174,13 @@ def _name_failure(vt_e: linalg.IntMatrix) -> NoReturn:
     )
 
 
-def _decode(
-    cluster: ClusterMatrix, eps: tuple[int, ...], vt_e: linalg.IntMatrix
-) -> BijectionWork:
-    """The decode of :func:`cluster_to_tree_work`, from V^t E."""
-    lifted = tuple(tuple(v - min(lift) for v in lift) for lift in map(f_lift, vt_e))
-    total = tuple(map(sum, zip(*lifted)))
+def _rebuild(
+    lifts: Sequence[Sequence[int]], eps: tuple[int, ...]
+) -> tuple[tuple[int, ...], Permutation, MixedCobinaryTree]:
+    """The sum of the lifts, its first ranking, and the tree it realizes."""
+    total = tuple(map(sum, zip(*lifts)))
     (ranking,) = _tied_rankings(total, 1)
-    tree = tree_from_permutation(ranking, eps)
-    edges = tree.edges
-    crossing = [  # per lift, the first edge whose endpoints it tells apart
-        next((j for j, e in enumerate(edges) if lift[e.p - 1] != lift[e.q - 1]), -1)
-        for lift in lifted
-    ]
-    if sorted(crossing) == list(range(len(edges))):
-        tree = tree.relabelled([edges[j].triple for j in crossing])
-        if _telescopes(lifted, tree):
-            return BijectionWork(eps, cluster, vt_e, lifted, total, ranking, tree)
-    _name_failure(vt_e)
+    return total, ranking, tree_from_permutation(ranking, eps)
 
 
 def cluster_to_tree_work(
@@ -214,7 +204,20 @@ def cluster_to_tree_work(
         return BijectionWork(eps, cluster, (), (), (1,), (1,), tree)
     if len(cluster.columns) != n - 1:
         raise ValueError(f"{n} nodes pair with clusters of {n - 1} columns")
-    return _decode(cluster, eps, _times_euler(cluster.columns, eps))
+    vt_e = _times_euler(cluster.columns, eps)
+    lifts = tuple(map(f_lift, vt_e))
+    lifted = tuple(tuple(v - m for v in row) for row, m in zip(lifts, map(min, lifts)))
+    total, ranking, tree = _rebuild(lifted, eps)
+    edges = tree.edges
+    crossing = [  # per lift, the first edge whose endpoints it tells apart
+        next((j for j, e in enumerate(edges) if lift[e.p - 1] != lift[e.q - 1]), -1)
+        for lift in lifted
+    ]
+    if sorted(crossing) == list(range(len(edges))):
+        tree = tree.relabelled([edges[j].triple for j in crossing])
+        if _telescopes(lifted, tree):
+            return BijectionWork(eps, cluster, vt_e, lifted, total, ranking, tree)
+    _name_failure(vt_e)
 
 
 def cluster_to_tree(
@@ -233,8 +236,9 @@ def tree_to_cluster(tree: MixedCobinaryTree) -> ClusterMatrix:
 
     Column j of E^{-1} is a root (p, q), so entry (k, j) of V^t telescopes
     to 1_{U_k}(q) - 1_{U_k}(p).  Column k pairs with edge k.  The result
-    must pass the cluster test and decode back to the tree, with the cut
-    rows C(T)^{-1} as V^t E.  Failures indicate corrupted input.
+    must pass the cluster test and its cut indicators must rebuild the
+    tree (failures indicate corrupted input); the pairing itself is
+    certified once, when :func:`cluster_to_tree` decodes the cluster.
     """
     eps = tree.epsilon
     if tree.n == 1:
@@ -247,7 +251,7 @@ def tree_to_cluster(tree: MixedCobinaryTree) -> ClusterMatrix:
     problem = cluster_violation(cluster, eps)
     if problem is not None:
         raise NotACluster(f"derived columns fail the cluster test: {problem}")
-    if _decode(cluster, eps, tuple(map(f_map, sides))).tree != tree:
+    if _rebuild(sides, eps)[2] != tree:
         raise NotACluster("derived cluster does not reconstruct the tree")
     return cluster
 
@@ -302,17 +306,12 @@ def bijection_report(epsilon: Sequence[int]) -> list[dict]:
     report = []
     for cluster in enumerate_clusters(eps):
         work = cluster_to_tree_work(cluster, eps)
-        paired = tree_to_cluster(work.tree)
-        ok = (
-            verify_pairing_identity(work.tree, paired)
-            and paired.key() == cluster.key()
-        )
         report.append(
             {
                 "cluster": cluster,
                 "tree": work.tree,
                 "c_matrix": work.c_matrix,  # equals classical_c_matrix(cluster, eps)
-                "verified": ok,
+                "verified": tree_to_cluster(work.tree) == cluster,
             }
         )
     return report

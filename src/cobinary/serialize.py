@@ -62,8 +62,16 @@ def cmatrix_to_obj(cmat: CMatrix) -> list[list[int]]:
     return [list(col) for col in cmat.columns]
 
 
-def cmatrix_from_obj(obj: Sequence[Sequence[int]]) -> CMatrix:
-    return CMatrix(tuple(tuple(int(x) for x in col) for col in obj))
+def _int_columns(obj: Any, what: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(obj, list) or not all(isinstance(col, list) for col in obj):
+        raise ValueError(f"a {what} is an array of columns")
+    if not all(type(x) is int for col in obj for x in col):
+        raise ValueError(f"{what} entries must be integers")
+    return tuple(map(tuple, obj))
+
+
+def cmatrix_from_obj(obj: Any) -> CMatrix:
+    return CMatrix(_int_columns(obj, "c-matrix"))
 
 
 def cluster_to_obj(cluster: ClusterMatrix) -> list[list[int]]:
@@ -72,11 +80,7 @@ def cluster_to_obj(cluster: ClusterMatrix) -> list[list[int]]:
 
 def cluster_from_obj(obj: Any) -> ClusterMatrix:
     """An array of integer columns, as many as each is long; else ValueError."""
-    if not isinstance(obj, list) or not all(isinstance(col, list) for col in obj):
-        raise ValueError("a cluster matrix is an array of columns")
-    if not all(type(x) is int for col in obj for x in col):
-        raise ValueError("cluster matrix entries must be integers")
-    return ClusterMatrix(tuple(map(tuple, obj)))
+    return ClusterMatrix(_int_columns(obj, "cluster matrix"))
 
 
 def exchange_to_obj(ex: ExchangeMatrix) -> dict[str, list[list[int]]]:
@@ -103,12 +107,14 @@ def point_to_obj(x: Sequence) -> list[str]:
 
 
 def point_from_obj(obj: Sequence) -> RegionPoint:
+    """Exact coordinates: JSON integers and "a/b" strings, else CobinaryError."""
     out = []
     for item in obj:
-        if isinstance(item, str) or isinstance(item, int):
+        try:
+            if type(item) not in (int, str):
+                raise TypeError(f"{item!r} is not exact")
             out.append(Fraction(item))
-        else:
-            # Floats are rejected: coordinates must stay exact.
+        except (TypeError, ValueError, ZeroDivisionError):
             raise CobinaryError(f"cannot read exact rational coordinate {item!r}")
     return tuple(out)
 

@@ -88,6 +88,11 @@ class SignedEdge:
         return self.q if self.slope == 1 else self.p
 
 
+def _labelled(triples: Iterable[EdgeTriple]) -> tuple[SignedEdge, ...]:
+    """Edges labelled in order: edge i + 1 carries the i-th triple."""
+    return tuple(SignedEdge(i + 1, p, q, s) for i, (p, q, s) in enumerate(triples))
+
+
 @dataclass(frozen=True)
 class MixedCobinaryTree:
     """n signed nodes plus n-1 labelled signed edges, stored in label order.
@@ -147,11 +152,7 @@ class MixedCobinaryTree:
         """Same tree with edge i carrying the i-th triple of `triples`."""
         if sorted(triples) != list(self.triples):
             raise ValueError("relabelling must preserve the edge set")
-        return MixedCobinaryTree(
-            self.n,
-            self.epsilon,
-            tuple(SignedEdge(i + 1, p, q, s) for i, (p, q, s) in enumerate(triples)),
-        )
+        return MixedCobinaryTree(self.n, self.epsilon, _labelled(triples))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,14 +202,20 @@ def _tree_from_triples(
     epsilon: Sequence[int], triples: Iterable[EdgeTriple]
 ) -> MixedCobinaryTree:
     """Build a tree assigning canonical labels: edges sorted by (p, q)."""
-    ordered = sorted(triples)
-    edges = tuple(SignedEdge(i + 1, p, q, s) for i, (p, q, s) in enumerate(ordered))
-    return MixedCobinaryTree(len(epsilon), tuple(epsilon), edges)
+    return MixedCobinaryTree(len(epsilon), tuple(epsilon), _labelled(sorted(triples)))
 
 
 # ---------------------------------------------------------------------------
 # Reconstruction from a height order
 # ---------------------------------------------------------------------------
+
+
+def _find(parent: list[int], v: int) -> int:
+    """The root of v in a union-find forest, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def tree_from_permutation(
@@ -236,18 +243,11 @@ def tree_from_permutation(
     cut = [v + 1 if 1 <= v <= n and eps[v - 1] == -1 else v for v in range(n + 2)]
     segments = {v: ([], []) for v in range(1, n + 2) if cut[v] == v}
     triples: list[EdgeTriple] = []
-
-    def segment_of(v: int) -> tuple[list[int], list[int]]:
-        while cut[v] != v:
-            cut[v] = cut[cut[v]]
-            v = cut[v]
-        return segments[v]
-
     for k in sorted(range(1, n + 1), key=lambda v: perm[v - 1]):
         if eps[k - 1] == 1:
             slots_l, walls_l = segments.pop(k)
             cut[k] = k + 1
-            slots, walls = segment_of(k)
+            slots, walls = segments[_find(cut, k)]
             if slots_l:
                 triples.append((slots_l.pop(), k, 1))
             if slots:
@@ -255,7 +255,7 @@ def tree_from_permutation(
             slots[0:1] = slots_l + [k]
             walls[0:0] = walls_l
         else:
-            slots, walls = segment_of(k)
+            slots, walls = segments[_find(cut, k)]
             at = bisect_left(walls, k)
             if slots:
                 owner = slots[at]
@@ -352,17 +352,10 @@ def _check_spanning_tree(n: int, edges: Sequence[SignedEdge]) -> None:
     if len(edges) != n - 1:
         raise NotATree(f"need {n - 1} edges for {n} nodes, got {len(edges)}")
     parent = list(range(n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for e in edges:
         if e.q > n:
             raise ValueError("edge endpoint out of range")
-        a, b = find(e.p), find(e.q)
+        a, b = _find(parent, e.p), _find(parent, e.q)
         if a == b:
             raise NotATree(f"edge ({e.p}, {e.q}) closes a cycle")
         parent[a] = b
@@ -425,8 +418,7 @@ def make_tree(
     eps = as_sign_sequence(epsilon)
     edge_list = list(edges)
     if edge_list and not isinstance(edge_list[0], SignedEdge):
-        ordered = sorted(tuple(e) for e in edge_list)  # type: ignore[arg-type]
-        edge_list = [SignedEdge(i + 1, p, q, s) for i, (p, q, s) in enumerate(ordered)]
+        edge_list = list(_labelled(sorted(map(tuple, edge_list))))
     _check_spanning_tree(len(eps), edge_list)  # type: ignore[arg-type]
     tree = MixedCobinaryTree(len(eps), eps, tuple(edge_list))  # type: ignore[arg-type]
     _slot_table(tree)

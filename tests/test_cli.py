@@ -149,6 +149,14 @@ def test_bij_all_is_verified():
     assert all(e["verified"] for e in entries)
 
 
+def test_bij_all_stdout_is_pinned():
+    out = run_cli("bij", "all", "--epsilon", "1,-1,-1,1,-1,1,1")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+        "24a06a04a526514519f4c68c19efd244e597016ca22641bb7889e834d0c6719c"
+    )
+
+
 def test_stability_command_matches_closed_form():
     inside = run_cli(
         "clusters", "stability", "--epsilon", "1,-1,-1,1",
@@ -234,6 +242,20 @@ THREE_NODE_TREE = (
          "--v", "0"),
         ("matrix", "fz-mutate", "--btilde", '{"B":[[0]],"C":[[1]]}', "--k", "3"),
         ("verify", "all", "--epsilon", "1,1,1", "--samples", "0"),
+        # argparse's own errors; their wording differs across Python versions.
+        ("trees", "enumerate"),
+        ("trees", "mutate", "--tree", THREE_NODE_TREE, "--k", "x"),
+        ("verify", "all", "--epsilon", "1,1,1", "--n-max", "x"),
+        ("verify", "all", "--epsilon", "1,1,1", "--samples", "1.5"),
+        ("verify", "all", "--epsilon", "1,1,1", "--seed", "x"),
+        ("clusters", "stability", "--epsilon", "1,1,1", "--p", "x", "--q", "2",
+         "--v", "0,0"),
+        ("clusters", "stability", "--epsilon", "1,1,1", "--p", "1", "--q", "x",
+         "--v", "0,0"),
+        ("trees", "nope"),
+        ("nope",),
+        (),
+        ("trees", "enumerate", "--epsilon", "1,1", "--nope"),
     ],
 )
 def test_bad_values_are_json_usage_errors(args):
@@ -242,6 +264,13 @@ def test_bad_values_are_json_usage_errors(args):
     err = json.loads(out.stderr)
     assert err["error"] == "usage"
     assert out.stdout == ""
+
+
+def test_help_stays_plain_text():
+    out = run_cli("trees", "--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: cobinary trees")
+    assert out.stderr == ""
 
 
 @pytest.mark.parametrize("command", [("bij", "to-tree"), ("clusters", "c-matrix")])

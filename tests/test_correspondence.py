@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given
@@ -443,6 +444,18 @@ def test_mutant_cut_rules_are_caught(monkeypatch):
     assert not any(entry["verified"] for entry in cb.bijection_report(eps))
 
 
+def test_cuts_of_another_tree_do_not_rebuild_the_tree(monkeypatch):
+    # The cuts of a neighbouring tree give a genuine cluster, so only the
+    # rebuild from the summed cut indicators can tell the trees apart.
+    cut_sides = correspondence._cut_sides
+    monkeypatch.setattr(
+        correspondence, "_cut_sides", lambda tree: cut_sides(cb.mutate(tree, 1))
+    )
+    for tree in cb.enumerate_trees((1, -1, -1, 1, -1)):
+        with pytest.raises(cb.NotACluster, match="does not reconstruct the tree"):
+            cb.tree_to_cluster(tree)
+
+
 def test_bijection_suite_consults_the_gauss_jordan_oracle(monkeypatch):
     # A decode that swaps two edge labels still round-trips (the cluster of
     # the swapped tree is the swapped cluster) and still pairs with that
@@ -457,6 +470,77 @@ def test_bijection_suite_consults_the_gauss_jordan_oracle(monkeypatch):
 
     monkeypatch.setattr(verify, "cluster_to_tree", swap_first_two_labels)
     assert not verify.suite_bijection(eps, 6, 10, 0).passed
+
+
+def _first_two_labels_swapped(cluster, epsilon):
+    tree = cb.cluster_to_tree(cluster, epsilon)
+    triples = [e.triple for e in tree.edges]
+    return tree.relabelled([triples[1], triples[0], *triples[2:]])
+
+
+def _first_two_columns_swapped(tree):
+    cols = cb.tree_to_cluster(tree).columns
+    return cb.ClusterMatrix((cols[1], cols[0], *cols[2:]))
+
+
+def test_the_bijection_suite_compares_the_way_back_exactly(monkeypatch):
+    # The tree is right, so the oracle passes; the cluster it re-encodes to
+    # has the right columns in the wrong order.
+    eps = (1, -1, -1, 1, -1)
+    monkeypatch.setattr(verify, "tree_to_cluster", _first_two_columns_swapped)
+    assert not verify.suite_bijection(eps, 6, 10, 0).passed
+
+
+def test_a_label_swap_undone_on_the_way_back_is_caught_only_by_the_oracle(
+    monkeypatch,
+):
+    # Both directions mislabel, and the second undoes the first: each pair
+    # still re-encodes to its cluster exactly, so the exact comparison
+    # passes, and only the Gauss-Jordan c-matrix of the cluster sees it.
+    eps = (1, -1, -1, 1, -1)
+    monkeypatch.setattr(verify, "cluster_to_tree", _first_two_labels_swapped)
+    monkeypatch.setattr(verify, "tree_to_cluster", _first_two_columns_swapped)
+    for cluster in cb.enumerate_clusters(eps):
+        tree = verify.cluster_to_tree(cluster, eps)
+        assert verify.tree_to_cluster(tree) == cluster
+        assert cb.c_matrix(tree) != cb.classical_c_matrix(cluster, eps)
+    assert not verify.suite_bijection(eps, 6, 10, 0).passed
+
+    def c_matrix_of_the_mutant(cluster, epsilon):
+        return cb.c_matrix(verify.cluster_to_tree(cluster, epsilon))
+
+    monkeypatch.setattr(verify, "classical_c_matrix", c_matrix_of_the_mutant)
+    assert verify.suite_bijection(eps, 6, 10, 0).passed
+
+
+def _rejected_edge_sets(n_max):
+    """Every set of n - 1 signed edges on distinct node pairs, n <= n_max and
+    every sign sequence, that make_tree rejects, labelled in (p, q) order."""
+    for n in range(2, n_max + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for eps in all_epsilons(n):
+            for chosen in combinations(pairs, n - 1):
+                for slopes in product((1, -1), repeat=n - 1):
+                    triples = [(p, q, s) for (p, q), s in zip(chosen, slopes)]
+                    try:
+                        cb.make_tree(eps, triples)
+                    except cb.CobinaryError:
+                        yield eps, triples
+
+
+def test_tree_to_cluster_rejects_every_edge_set_that_is_not_a_tree():
+    # Built without make_tree's checks; the messages are pinned.
+    digest, count = hashlib.sha256(), 0
+    for eps, triples in _rejected_edge_sets(4):
+        edges = tuple(cb.SignedEdge(i + 1, *t) for i, t in enumerate(triples))
+        with pytest.raises(cb.NotACluster) as info:
+            cb.tree_to_cluster(cb.MixedCobinaryTree(len(eps), eps, edges))
+        digest.update(f"{eps} {triples} NotACluster: {info.value}\n".encode())
+        count += 1
+    assert count == 2392
+    assert digest.hexdigest() == (
+        "3477347fba246546aca73502b51aaefa307d89893c55a6710c4f3ec8f529a077"
+    )
 
 
 def test_decode_succeeds_exactly_on_clusters():

@@ -79,6 +79,23 @@ def test_point_rejects_floats():
         serialize.point_from_obj([0.5])
 
 
+@pytest.mark.parametrize(
+    "obj", [[1.5], [True], [False], ["x"], ["1/0"], [None], [[1]], [1, "2/"]]
+)
+def test_point_reads_only_integers_and_rational_strings(obj):
+    with pytest.raises(cb.CobinaryError, match="cannot read exact rational coordinate"):
+        serialize.point_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[[1.5]], [[True]], [["1"]], [[None]], [1], {"a": [1]}, "[[1]]", [[1, 0], [0]]],
+)
+def test_c_matrix_reads_only_square_integer_columns(obj):
+    with pytest.raises(ValueError):
+        serialize.cmatrix_from_obj(obj)
+
+
 def test_dumps_is_compact_and_ordered():
     text = serialize.dumps({"b": 1, "a": 2})
     assert text == '{"b":1,"a":2}'
