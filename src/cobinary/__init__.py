@@ -50,7 +50,6 @@ from .exchange import (
     ExchangeMatrix,
     euler_inverse,
     euler_matrix,
-    exchange_from_c,
     exchange_matrix,
     fz_mutate,
     x_matrix,

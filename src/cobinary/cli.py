@@ -199,7 +199,7 @@ def _cmd_clusters_stability(args) -> int:
         {
             "epsilon": list(eps),
             "beta": [beta.p, beta.q],
-            "weight": [int(w) for w in weight],
+            "weight": list(weight),
             "subroots": [[r.p, r.q] for r in subroots(eps, beta)],
             "v": serialize.point_to_obj(weight_vector),
             "contains": contains,

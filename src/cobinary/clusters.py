@@ -22,17 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 from . import linalg
 from .errors import NotACluster, NotARoot, VerificationFailed
-from .exchange import euler_inverse, euler_matrix
+from .exchange import _arrow_counts, _root_euler, euler_inverse, euler_matrix
+from .linalg import IntVector
 from .regions import CMatrix
 from .roots import Root, is_root_vector, positive_roots, root_from_vector
 from .trees import SignSequence, as_sign_sequence
-
-IntVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class AlmostPositiveRoot:
     projective: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
+        object.__setattr__(self, "vector", linalg.as_ints(self.vector))
         if (self.root is None) == (self.projective is None):
             raise ValueError("exactly one of root/projective must be set")
 
@@ -118,7 +116,7 @@ class ClusterMatrix:
     columns: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
-        cols = tuple(tuple(int(x) for x in col) for col in self.columns)
+        cols = tuple(linalg.as_ints(col) for col in self.columns)
         object.__setattr__(self, "columns", cols)
         if any(len(col) != len(cols) for col in cols):
             raise ValueError("cluster matrix must be square")
@@ -130,29 +128,6 @@ class ClusterMatrix:
     def key(self) -> tuple[IntVector, ...]:
         """Order-insensitive identity of the cluster."""
         return tuple(sorted(self.columns))
-
-
-@lru_cache(maxsize=None)
-def _arrow_counts(eps: SignSequence) -> tuple[IntVector, IntVector]:
-    """Prefix counts of the arrows pointing right and left: entry m counts
-    those between vertices i and i + 1 for i < m, each oriented by the sign
-    of node i + 1 (+1 points left)."""
-    right = (0, 0, *accumulate(int(s == -1) for s in eps[1:-1]))
-    left = (0, 0, *accumulate(int(s == 1) for s in eps[1:-1]))
-    return right, left
-
-
-def _root_euler(counts: tuple[IntVector, IntVector], a: Root, b: Root) -> int:
-    """a^t E b for two roots, in O(1) from the arrow counts of E.  For
-    positive roots, the vertices [p, q) the two intervals share minus the
-    arrows from a vertex of a to a vertex of b."""
-    right, left = counts
-    shared = max(0, min(a.q, b.q) - max(a.p, b.p))
-    lo, hi = max(a.p, b.p - 1), min(a.q - 1, b.q - 2)  # i -> i + 1
-    forward = right[hi + 1] - right[lo] if lo <= hi else 0
-    lo, hi = max(a.p - 1, b.p), min(a.q - 2, b.q - 1)  # i + 1 -> i
-    backward = left[hi + 1] - left[lo] if lo <= hi else 0
-    return a.sign * b.sign * (shared - forward - backward)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +146,7 @@ def cluster_violation(
     cols = (
         candidate.columns
         if isinstance(candidate, ClusterMatrix)
-        else tuple(tuple(int(x) for x in c) for c in candidate)
+        else tuple(linalg.as_ints(c) for c in candidate)
     )
     if n == 1:
         return None if cols == () else "a single node admits only the empty cluster"

@@ -236,9 +236,13 @@ def tree_to_cluster(tree: MixedCobinaryTree) -> ClusterMatrix:
 
     Column j of E^{-1} is a root (p, q), so entry (k, j) of V^t telescopes
     to 1_{U_k}(q) - 1_{U_k}(p).  Column k pairs with edge k.  The result
-    must pass the cluster test and its cut indicators must rebuild the
-    tree (failures indicate corrupted input); the pairing itself is
-    certified once, when :func:`cluster_to_tree` decodes the cluster.
+    must pass the cluster test (a corrupted tree fails it) and its cut
+    indicators must rebuild the tree; the pairing itself is certified
+    once, when :func:`cluster_to_tree` decodes the cluster.  The rebuild
+    check fires only through a fault in the cut rule: columns that pass
+    the cluster test decode to a tree with the same cut indicators, and a
+    tree's cuts fix its edges, because two nodes are adjacent exactly when
+    one cut separates them.
     """
     eps = tree.epsilon
     if tree.n == 1:

@@ -15,11 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from . import linalg
-from .regions import CMatrix, c_matrix
-from .trees import MixedCobinaryTree, as_sign_sequence
+from .linalg import IntVector
+from .regions import c_matrix
+from .roots import Root
+from .trees import MixedCobinaryTree, SignSequence, as_sign_sequence
 
 
 @dataclass(frozen=True)
@@ -48,43 +51,65 @@ class ExchangeMatrix:
         return linalg.transpose(self.c_rows)
 
 
-def _path(eps: tuple[int, ...], i: int, j: int) -> bool:
-    """Whether a path runs from vertex i to vertex j (0-based): every arrow
-    between them points from i towards j.  The sign at node k + 1 orients
-    the arrow between vertices k - 1 and k; -1 points right."""
-    toward = -1 if i < j else 1
-    return all(eps[k] == toward for k in range(min(i, j) + 1, max(i, j) + 1))
+@lru_cache(maxsize=None)
+def _arrow_counts(eps: SignSequence) -> tuple[IntVector, IntVector]:
+    """Prefix counts of the arrows pointing right and left, the one rule for
+    how the signs orient the quiver: entry m counts the arrows between
+    vertices i and i + 1 for i < m, each oriented by node i + 1's sign (+1
+    points left)."""
+    right = (0, 0, *accumulate(int(s == -1) for s in eps[1:-1]))
+    left = (0, 0, *accumulate(int(s == 1) for s in eps[1:-1]))
+    return right, left
+
+
+def _root_euler(counts: tuple[IntVector, IntVector], a: Root, b: Root) -> int:
+    """a^t E b for two roots, in O(1) from the arrow counts of E.  For
+    positive roots, the vertices [p, q) the two intervals share minus the
+    arrows from a vertex of a to a vertex of b."""
+    right, left = counts
+    shared = max(0, min(a.q, b.q) - max(a.p, b.p))
+    lo, hi = max(a.p, b.p - 1), min(a.q - 1, b.q - 2)  # i -> i + 1
+    forward = right[hi + 1] - right[lo] if lo <= hi else 0
+    lo, hi = max(a.p - 1, b.p), min(a.q - 2, b.q - 1)  # i + 1 -> i
+    backward = left[hi + 1] - left[lo] if lo <= hi else 0
+    return a.sign * b.sign * (shared - forward - backward)
+
+
+def _path(eps: SignSequence, i: int, j: int) -> bool:
+    """Whether a path runs from vertex i to vertex j (0-based, so vertices
+    i + 1 and j + 1 of the arrow counts): every arrow between them points
+    from i towards j."""
+    lo, hi = min(i, j) + 1, max(i, j) + 1
+    arrows = _arrow_counts(eps)[0 if i < j else 1]
+    return arrows[hi] - arrows[lo] == hi - lo
 
 
 @lru_cache(maxsize=None)
-def _euler_cached(eps: tuple[int, ...]) -> linalg.IntMatrix:
-    m = range(len(eps) - 1)  # E = I - A: a -1 for each arrow i -> j
-    return tuple(
-        tuple(int(i == j) - (abs(i - j) == 1 and _path(eps, i, j)) for j in m) for i in m
+def _euler_cached(eps: SignSequence) -> tuple[linalg.IntMatrix, linalg.IntMatrix]:
+    m = range(len(eps) - 1)
+    paths = tuple(tuple(int(_path(eps, i, j)) for j in m) for i in m)  # E^{-1}
+    e = tuple(  # E = I - A: a -1 for each arrow i -> j
+        tuple(int(i == j) - (abs(i - j) == 1 and paths[i][j]) for j in m) for i in m
     )
+    return e, paths
 
 
-def euler_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
-    """Euler matrix of the quiver oriented by the inner signs of epsilon."""
+def _euler_pair(epsilon: Sequence[int]) -> tuple[linalg.IntMatrix, linalg.IntMatrix]:
     eps = as_sign_sequence(epsilon)
     if len(eps) < 2:
         raise ValueError("the quiver needs n >= 2")
     return _euler_cached(eps)
 
 
-@lru_cache(maxsize=None)
-def _euler_inverse_cached(eps: tuple[int, ...]) -> linalg.IntMatrix:
-    m = range(len(eps) - 1)
-    return tuple(tuple(int(_path(eps, i, j)) for j in m) for i in m)
+def euler_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
+    """Euler matrix of the quiver oriented by the inner signs of epsilon."""
+    return _euler_pair(epsilon)[0]
 
 
 def euler_inverse(epsilon: Sequence[int]) -> linalg.IntMatrix:
     """Exact integer inverse of the Euler matrix E = I - A, A the arrows of
     an acyclic quiver: E^{-1} = I + A + A^2 + ... counts the paths i -> j."""
-    eps = as_sign_sequence(epsilon)
-    if len(eps) < 2:
-        raise ValueError("the quiver needs n >= 2")
-    return _euler_inverse_cached(eps)
+    return _euler_pair(epsilon)[1]
 
 
 def x_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
@@ -95,7 +120,11 @@ def x_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
 
 def exchange_matrix(tree: MixedCobinaryTree) -> ExchangeMatrix:
     """[C^t X C ; C] for the tree's c-matrix C.  Empty for a single node."""
-    return exchange_from_c(c_matrix(tree), tree.epsilon)
+    if tree.n == 1:
+        return ExchangeMatrix((), ())
+    c = c_matrix(tree)  # the rows of C^t are the columns of C
+    ct_x = linalg.mat_mul(c.columns, x_matrix(tree.epsilon))
+    return ExchangeMatrix(linalg.mat_mul(ct_x, c.rows), c.rows)
 
 
 def fz_mutate(btilde: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -122,13 +151,3 @@ def fz_mutate(btilde: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 new_row.append(row[j])
         out.append(tuple(new_row))
     return ExchangeMatrix(tuple(out[:m]), tuple(out[m:]))
-
-
-def exchange_from_c(cmat: CMatrix, epsilon: Sequence[int]) -> ExchangeMatrix:
-    """Stack C^t X C over a given c-matrix."""
-    c_rows = cmat.rows
-    if not c_rows:
-        return ExchangeMatrix((), ())
-    x = x_matrix(epsilon)
-    b = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c_rows), x), c_rows)
-    return ExchangeMatrix(b, c_rows)

@@ -11,11 +11,22 @@ O(n^3) integer operations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import NonIntegralResult, SingularV
 
-IntMatrix = tuple[tuple[int, ...], ...]
+IntVector = tuple[int, ...]
+IntMatrix = tuple[IntVector, ...]
+
+
+def as_ints(values: Iterable) -> IntVector:
+    """The values as a tuple of ints, the library's one integer reader: a
+    float, Fraction, string or bool raises ValueError.  Nothing is rounded."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise ValueError(f"expected an integer, got {x!r}")
+    return out
 
 
 def identity(n: int) -> IntMatrix:
@@ -23,7 +34,7 @@ def identity(n: int) -> IntMatrix:
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    m = tuple(as_ints(row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
@@ -93,7 +104,7 @@ def det(m: IntMatrix) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    d, sign = _eliminate([list(row) for row in m], n)
+    d, sign = _eliminate([list(as_ints(row)) for row in m], n)
     return sign * d
 
 
@@ -107,7 +118,7 @@ def inverse_integer(m: IntMatrix) -> IntMatrix:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = [list(as_ints(row)) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     d, _ = _eliminate(a, n)
     if d == 0:
         raise SingularV("matrix is singular")

@@ -45,7 +45,7 @@ class CMatrix:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cols = tuple(tuple(int(x) for x in col) for col in self.columns)
+        cols = tuple(linalg.as_ints(col) for col in self.columns)
         object.__setattr__(self, "columns", cols)
         if any(len(col) != len(cols) for col in cols):
             raise ValueError("c-matrix must be square")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import NotARoot
+from .linalg import as_ints
 
 
 @dataclass(frozen=True, order=True)
@@ -23,6 +24,7 @@ class Root:
     sign: int = 1
 
     def __post_init__(self) -> None:
+        as_ints((self.p, self.q, self.sign))
         if not 1 <= self.p < self.q:
             raise ValueError(f"need 1 <= p < q, got p={self.p}, q={self.q}")
         if self.sign not in (1, -1):

@@ -16,6 +16,7 @@ from typing import Any, Sequence
 from .clusters import ClusterMatrix
 from .errors import CobinaryError
 from .exchange import ExchangeMatrix
+from .linalg import as_ints
 from .regions import CMatrix, RegionPoint
 from .trees import BinaryTree, MixedCobinaryTree, SignedEdge, make_tree
 
@@ -31,24 +32,18 @@ def tree_to_obj(tree: MixedCobinaryTree) -> dict[str, Any]:
     }
 
 
-def _json_int(x: Any) -> int:
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
 def tree_from_obj(obj: Any) -> MixedCobinaryTree:
     """Read a tree whose entries are JSON integers.  Any other shape raises
     CobinaryError ("malformed tree object"); an edge set that is not a tree
     keeps the error of make_tree (NotATree, ArityViolation, WallViolation)."""
     try:
-        epsilon = [_json_int(s) for s in obj["epsilon"]]
+        epsilon = as_ints(obj["epsilon"])
         edges = [
-            SignedEdge(*(_json_int(e[key]) for key in ("i", "p", "q", "slope")))
+            SignedEdge(*(e[key] for key in ("i", "p", "q", "slope")))
             for e in obj["edges"]
         ]
         tree = make_tree(epsilon, edges)
-        n = _json_int(obj["n"]) if "n" in obj else tree.n
+        n = as_ints([obj["n"]])[0] if "n" in obj else tree.n
     except CobinaryError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -65,9 +60,10 @@ def cmatrix_to_obj(cmat: CMatrix) -> list[list[int]]:
 def _int_columns(obj: Any, what: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(obj, list) or not all(isinstance(col, list) for col in obj):
         raise ValueError(f"a {what} is an array of columns")
-    if not all(type(x) is int for col in obj for x in col):
-        raise ValueError(f"{what} entries must be integers")
-    return tuple(map(tuple, obj))
+    try:
+        return tuple(map(as_ints, obj))
+    except ValueError as exc:
+        raise ValueError(f"{what} entries must be integers") from exc
 
 
 def cmatrix_from_obj(obj: Any) -> CMatrix:
@@ -93,10 +89,7 @@ def exchange_to_obj(ex: ExchangeMatrix) -> dict[str, list[list[int]]]:
 def exchange_from_obj(obj: Any) -> ExchangeMatrix:
     """Read {"B", "C"} of JSON integers; any other shape raises CobinaryError."""
     try:
-        return ExchangeMatrix(
-            tuple(tuple(map(_json_int, row)) for row in obj["B"]),
-            tuple(tuple(map(_json_int, row)) for row in obj["C"]),
-        )
+        return ExchangeMatrix(obj["B"], obj["C"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CobinaryError(f"malformed exchange matrix object: {exc}") from exc
 
@@ -111,8 +104,8 @@ def point_from_obj(obj: Sequence) -> RegionPoint:
     out = []
     for item in obj:
         try:
-            if type(item) not in (int, str):
-                raise TypeError(f"{item!r} is not exact")
+            if type(item) is not str:
+                as_ints([item])
             out.append(Fraction(item))
         except (TypeError, ValueError, ZeroDivisionError):
             raise CobinaryError(f"cannot read exact rational coordinate {item!r}")

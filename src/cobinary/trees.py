@@ -37,6 +37,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ArityViolation, CyclicHeights, NotATree, WallViolation
+from .linalg import as_ints
 
 SignSequence = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -44,7 +45,7 @@ EdgeTriple = tuple[int, int, int]  # (p, q, slope)
 
 
 def as_sign_sequence(entries: Sequence[int]) -> SignSequence:
-    eps = tuple(map(int, entries))
+    eps = as_ints(entries)
     if len(eps) < 1:
         raise ValueError("sign sequence must have length at least 1")
     if not {1, -1}.issuperset(eps):
@@ -53,7 +54,7 @@ def as_sign_sequence(entries: Sequence[int]) -> SignSequence:
 
 
 def as_permutation(values: Sequence[int]) -> Permutation:
-    sigma = tuple(int(x) for x in values)
+    sigma = as_ints(values)
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError(f"{sigma} is not a permutation of 1..{len(sigma)}")
     return sigma
@@ -69,6 +70,7 @@ class SignedEdge:
     slope: int
 
     def __post_init__(self) -> None:
+        as_ints((self.index, self.p, self.q, self.slope))
         if not 1 <= self.p < self.q:
             raise ValueError(f"need 1 <= p < q, got ({self.p}, {self.q})")
         if self.slope not in (1, -1):
@@ -111,6 +113,7 @@ class MixedCobinaryTree:
     def __post_init__(self) -> None:
         eps = as_sign_sequence(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
+        as_ints((self.n,))
         if self.n != len(eps):
             raise ValueError(f"n={self.n} but sign sequence has length {len(eps)}")
         edges = tuple(sorted(self.edges, key=lambda e: e.index))
@@ -502,7 +505,8 @@ def enumerate_trees(epsilon: Sequence[int]) -> list[MixedCobinaryTree]:
 
 
 def sign_sequences(n: int) -> Iterator[SignSequence]:
-    """All 2^n sign sequences of length n, in lexicographic (-1 first) order."""
+    """All 2^n sign sequences of length n.  The first sign turns fastest,
+    -1 before 1: (-1, -1), (1, -1), (-1, 1), (1, 1)."""
     if n == 0:
         yield ()
         return

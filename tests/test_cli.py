@@ -297,6 +297,17 @@ def test_malformed_cluster_payloads_are_usage_errors(command, payload):
     assert err["message"].startswith("bad --cluster value: ")
 
 
+@pytest.mark.parametrize("command", [("bij", "to-tree"), ("clusters", "c-matrix")])
+def test_non_integer_cluster_entry_keeps_its_message(command):
+    out = run_cli(*command, "--cluster", "[[1.5]]", "--epsilon", "1,1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        '{"error":"usage","message":"bad --cluster value: '
+        'cluster matrix entries must be integers"}\n'
+    )
+
+
 def _tree_payload(**changes):
     obj = json.loads(THREE_NODE_TREE)
     edge = changes.pop("edge", {})

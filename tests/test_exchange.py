@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,20 @@ def test_euler_matrix_five_node_golden():
         (0, 0, 1, -1),
         (0, 0, 0, 1),
     )
+
+
+# sha256 of repr((E, E^{-1}, X)) for every sign sequence with 2 <= n <= 10,
+# in sign_sequences order.
+EULER_SHA256 = "355477255a9e66df881d1c43e7a96579c0a815882848c31bb348d99508fc1be8"
+
+
+def test_euler_matrices_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(2, 11):
+        for eps in all_epsilons(n):
+            matrices = (cb.euler_matrix(eps), cb.euler_inverse(eps), cb.x_matrix(eps))
+            digest.update(repr(matrices).encode())
+    assert digest.hexdigest() == EULER_SHA256
 
 
 def test_euler_matrix_cluster_demo_and_inverse():
@@ -280,3 +295,21 @@ def test_principal_part_sign_laws():
                         else:
                             assert ek.p == ej.q
                             assert entry == -eps[ek.p - 1] * ej.slope * ek.slope
+
+
+# sha256 of repr((B, C)) of exchange_matrix(tree), then of fz_mutate at each
+# k = 1..n-1, for every tree with n <= 6 in enumeration order.
+EXCHANGE_SHA256 = "ba443c14940e4feb0886043f606a66e989415a4024b2ccf6e715dfabd6f29bb0"
+
+
+def test_exchange_matrices_and_mutations_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for eps in all_epsilons(n):
+            for tree in cb.enumerate_trees(eps):
+                ex = cb.exchange_matrix(tree)
+                digest.update(repr((ex.b_rows, ex.c_rows)).encode())
+                for k in range(1, ex.size + 1):
+                    mutated = cb.fz_mutate(ex, k)
+                    digest.update(repr((mutated.b_rows, mutated.c_rows)).encode())
+    assert digest.hexdigest() == EXCHANGE_SHA256

@@ -1,0 +1,88 @@
+"""The one integer policy: every integer entry point reads through
+`linalg.as_ints`, which accepts a Python int that is not a bool, rejects
+anything else with ValueError, and rounds nothing."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+import cobinary as cb
+from cobinary import linalg
+
+from conftest import CLU_C_ROWS, CLU_EPS, CLU_V_COLS
+
+NON_INTEGERS = [1.5, 2.0, Fraction(3, 2), Fraction(2, 1), "1", True]
+
+# Each entry point with one integer slot filled by the value under test;
+# every other argument is valid.
+ENTRY_POINTS = {
+    "as_ints": lambda x: linalg.as_ints([1, x]),
+    "as_sign_sequence": lambda x: cb.as_sign_sequence([1, x]),
+    "as_permutation": lambda x: cb.as_permutation([2, x]),
+    "SignedEdge": lambda x: cb.SignedEdge(x, 1, 2, 1),
+    "MixedCobinaryTree": lambda x: cb.MixedCobinaryTree(
+        x, (1, 1), (cb.SignedEdge(1, 1, 2, 1),)
+    ),
+    "Root": lambda x: cb.Root(x, 3),
+    "AlmostPositiveRoot": lambda x: cb.AlmostPositiveRoot(
+        (x, 0), root=cb.Root(1, 2)
+    ),
+    "ClusterMatrix": lambda x: cb.ClusterMatrix(((x, 0), (0, 1))),
+    "cluster_violation": lambda x: cb.cluster_violation([[x, 0], [0, 1]], (1, 1, 1)),
+    "CMatrix": lambda x: cb.CMatrix(((x, 0), (0, 1))),
+    "as_matrix": lambda x: linalg.as_matrix(((x, 0), (0, 1))),
+    "ExchangeMatrix": lambda x: cb.ExchangeMatrix(((0, 0), (0, 0)), ((x, 0), (0, 1))),
+    # A bare object with columns skips ClusterMatrix's own reader.
+    "classical_c_matrix": lambda x: cb.classical_c_matrix(
+        SimpleNamespace(columns=((x, 0), (0, 1))), (1, 1, 1)
+    ),
+    "det": lambda x: linalg.det(((x, 0), (0, 1))),
+    "inverse_integer": lambda x: linalg.inverse_integer(((x, 0), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_non_integers(entry, value):
+    with pytest.raises(ValueError, match=r"^expected an integer, got "):
+        ENTRY_POINTS[entry](value)
+
+
+def test_nothing_is_rounded():
+    with pytest.raises(ValueError, match="got 1.7"):
+        cb.as_sign_sequence([1.7, -1.2])
+    with pytest.raises(ValueError, match="got 0.99"):
+        cb.cluster_violation([[0.99, 0], [0, 1]], (1, 1, 1))
+    with pytest.raises(ValueError, match="got 4.5"):
+        linalg.det(((1, 2), (3, 4.5)))
+    with pytest.raises(ValueError, match="got 1.0"):
+        cb.SignedEdge(1.0, 1, 2, 1.0)
+
+
+def test_the_reader_returns_the_ints_it_reads():
+    assert linalg.as_ints(iter([3, -1, 0, 10**30])) == (3, -1, 0, 10**30)
+    assert linalg.as_ints([]) == ()
+
+
+def test_integer_input_gives_the_same_results():
+    assert cb.as_sign_sequence([1, -1]) == (1, -1)
+    assert cb.as_permutation([2, 1, 3]) == (2, 1, 3)
+    assert cb.SignedEdge(1, 2, 3, -1).triple == (2, 3, -1)
+    assert cb.Root(1, 3, -1).vector(4) == (-1, -1, 0)
+    assert cb.AlmostPositiveRoot([1, 1], root=cb.Root(1, 3)).vector == (1, 1)
+    assert cb.ClusterMatrix([[1, 0], [0, 1]]).columns == ((1, 0), (0, 1))
+    assert cb.cluster_violation([[1, 0], [0, 1]], (1, 1, 1)) == (
+        "columns 2 and 1 are incompatible: v_2^t E v_1 < 0"
+    )
+    assert cb.CMatrix([[1, 0], [1, 1]]).rows == ((1, 1), (0, 1))
+    assert linalg.as_matrix([[1, 2], [3, 4]]) == ((1, 2), (3, 4))
+    assert cb.ExchangeMatrix([[0, 1], [-1, 0]], [[1, 0], [0, 1]]).b_rows == (
+        (0, 1),
+        (-1, 0),
+    )
+    assert cb.classical_c_matrix(cb.ClusterMatrix(CLU_V_COLS), CLU_EPS).rows == CLU_C_ROWS
+    assert linalg.det(((1, 2), (3, 4))) == -2
+    assert linalg.inverse_integer(((2, 1), (1, 1))) == ((1, -1), (-1, 2))

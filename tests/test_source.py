@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import cobinary as cb
@@ -20,3 +21,11 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_the_integer_reader_asks_whether_a_value_is_an_int():
+    # One integer policy: linalg.as_ints decides what counts as an integer.
+    sources = sorted(Path(cb.__file__).parent.glob("*.py"))
+    pattern = re.compile(r"type\(\w+\) is (not )?int\b|isinstance\([^)]*\bint\b")
+    found = [path.name for path in sources if pattern.search(path.read_text())]
+    assert found == ["linalg.py"]
