@@ -8,7 +8,6 @@ arithmetic.
 """
 
 from .clusters import (
-    AlmostPositiveRoot,
     ClusterMatrix,
     almost_positive_roots,
     classical_c_matrix,

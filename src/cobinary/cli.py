@@ -32,7 +32,7 @@ from .correspondence import (
 )
 from .errors import CobinaryError
 from .exchange import euler_inverse, euler_matrix, exchange_matrix, fz_mutate, x_matrix
-from .regions import as_region_point, c_matrix, mutation_sequence
+from .regions import c_matrix, mutation_sequence
 from .roots import Root
 from .trees import (
     as_sign_sequence,
@@ -184,9 +184,7 @@ def _cmd_clusters_c_matrix(args) -> int:
 def _cmd_clusters_stability(args) -> int:
     eps = _parse_epsilon(args.epsilon)
     try:
-        weight_vector = as_region_point(
-            Fraction(tok) for tok in args.v.split(",") if tok
-        )
+        weight_vector = [Fraction(tok) for tok in args.v.split(",") if tok]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --v value {args.v!r}: {exc}") from exc
     try:

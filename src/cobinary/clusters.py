@@ -26,29 +26,17 @@ from typing import Sequence
 
 from . import linalg
 from .errors import NotACluster, NotARoot, VerificationFailed
-from .exchange import _arrow_counts, _root_euler, euler_inverse, euler_matrix
+from .exchange import (
+    _arrow_counts,
+    _root_euler,
+    _times_euler,
+    euler_inverse,
+    euler_matrix,
+)
 from .linalg import IntVector
-from .regions import CMatrix
+from .regions import CMatrix, as_region_point
 from .roots import Root, is_root_vector, positive_roots, root_from_vector
 from .trees import SignSequence, as_sign_sequence
-
-
-@dataclass(frozen=True)
-class AlmostPositiveRoot:
-    """A positive root beta_pq, or minus the i-th projective root."""
-
-    vector: IntVector
-    root: Root | None = None
-    projective: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", linalg.as_ints(self.vector))
-        if (self.root is None) == (self.projective is None):
-            raise ValueError("exactly one of root/projective must be set")
-
-    @property
-    def is_positive(self) -> bool:
-        return self.root is not None
 
 
 def projective_roots(epsilon: Sequence[int]) -> tuple[IntVector, ...]:
@@ -59,23 +47,23 @@ def projective_roots(epsilon: Sequence[int]) -> tuple[IntVector, ...]:
     return rows
 
 
-def almost_positive_roots(epsilon: Sequence[int]) -> list[AlmostPositiveRoot]:
+@lru_cache(maxsize=None)
+def _almost_positive_roots(eps: SignSequence) -> tuple[Root, ...]:
+    """The one table of almost positive roots: the positive roots in (p, q)
+    order, then the n - 1 negated projective roots in vertex order."""
+    projective = (-root_from_vector(row) for row in projective_roots(eps))
+    return (*positive_roots(len(eps)), *projective)
+
+
+def almost_positive_roots(epsilon: Sequence[int]) -> tuple[Root, ...]:
     """All positive roots in (p, q) order, then the negated projectives."""
-    eps = as_sign_sequence(epsilon)
-    n = len(eps)
-    out = [
-        AlmostPositiveRoot(r.vector(n), root=r) for r in positive_roots(n)
-    ]
-    for i, row in enumerate(projective_roots(eps), start=1):
-        out.append(
-            AlmostPositiveRoot(tuple(-x for x in row), projective=i)
-        )
-    return out
+    return _almost_positive_roots(as_sign_sequence(epsilon))
 
 
 def euler_form(epsilon: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
     """a^t E b, the Hom-minus-Ext pairing on dimension vectors."""
     e = euler_matrix(epsilon)
+    a, b = linalg.as_ints(a), linalg.as_ints(b)
     if len(a) != len(e) or len(b) != len(e):
         raise ValueError(
             f"vectors must have length {len(e)}, got {len(a)} and {len(b)}"
@@ -130,12 +118,6 @@ class ClusterMatrix:
         return tuple(sorted(self.columns))
 
 
-@lru_cache(maxsize=None)
-def _projective_intervals(eps: SignSequence) -> frozenset[tuple[int, int]]:
-    """The (p, q) of every projective root."""
-    return frozenset((r.p, r.q) for r in map(root_from_vector, projective_roots(eps)))
-
-
 def cluster_violation(
     candidate: ClusterMatrix | Sequence[Sequence[int]],
     epsilon: Sequence[int],
@@ -156,7 +138,7 @@ def cluster_violation(
         return "column of wrong length"
     if len(set(cols)) != len(cols):
         return "columns are not distinct"
-    projective = _projective_intervals(eps)
+    negated_projective = _almost_positive_roots(eps)[-(n - 1) :]
     counts = _arrow_counts(eps)
     roots = []
     for col in cols:
@@ -164,7 +146,7 @@ def cluster_violation(
             root = root_from_vector(col)
         except NotARoot:
             root = None
-        if root is None or (root.sign == -1 and (root.p, root.q) not in projective):
+        if root is None or (root.sign == -1 and root not in negated_projective):
             return f"column {col} is not an almost positive root"
         roots.append(root)
     for i, a in enumerate(roots):
@@ -206,7 +188,7 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
     n = len(eps)
     if n == 1:
         return [ClusterMatrix(())]
-    roots = [*positive_roots(n), *(Root(p, q, -1) for p, q in _projective_intervals(eps))]
+    roots = _almost_positive_roots(eps)
     vectors = [r.vector(n) for r in roots]
     counts = _arrow_counts(eps)
     compatible = [[_compatible(counts, u, v) for v in roots] for u in roots]
@@ -255,10 +237,16 @@ def stability_domain_contains(
     v^t E beta = 0 and v^t E beta' <= 0 on every proper subroot beta'."""
     eps = as_sign_sequence(epsilon)
     n = len(eps)
-    if len(v) != n - 1:
-        raise ValueError(f"weight vector must have length {n - 1}, got {len(v)}")
-    e = euler_matrix(eps)
-    left = linalg.vec_mat(tuple(v), e)
+    point = as_region_point(v)
+    if len(point) != n - 1:
+        raise ValueError(f"weight vector must have length {n - 1}, got {len(point)}")
+    return _in_stability_domain(eps, beta, _times_euler((point,), eps)[0])
+
+
+def _in_stability_domain(eps: SignSequence, beta: Root, left: Sequence) -> bool:
+    """Whether left = v^t E lies in the stability domain of beta: left . beta
+    = 0 and left . beta' <= 0 on every proper subroot beta'."""
+    n = len(eps)
     if linalg.dot(left, beta.vector(n)) != 0:
         return False
     return all(

@@ -33,9 +33,9 @@ from typing import NoReturn, Sequence
 from . import linalg
 from .clusters import (
     ClusterMatrix,
+    _in_stability_domain,
     cluster_violation,
     enumerate_clusters,
-    stability_domain_contains,
 )
 from .errors import (
     NonIntegralResult,
@@ -44,7 +44,7 @@ from .errors import (
     SingularV,
     VerificationFailed,
 )
-from .exchange import euler_inverse, euler_matrix
+from .exchange import _times_euler, euler_inverse
 from .regions import CMatrix, RegionPoint, as_region_point, c_matrix
 from .roots import Root, root_from_vector
 from .trees import (
@@ -109,22 +109,9 @@ class BijectionWork:
 
 
 @lru_cache(maxsize=None)
-def _euler_columns(eps: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero entries (i, E_ij) of each column j of E: at most three."""
-    columns = zip(*euler_matrix(eps))
-    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in columns)
-
-
-@lru_cache(maxsize=None)
 def _euler_inverse_roots(eps: tuple[int, ...]) -> tuple[Root, ...]:
     """The columns of E^{-1}, each a root: the vertices with a path to j."""
     return tuple(map(root_from_vector, zip(*euler_inverse(eps))))
-
-
-def _times_euler(columns: Sequence, eps: tuple[int, ...]) -> linalg.IntMatrix:
-    """V^t E from the columns of V, in O(n^2)."""
-    e = _euler_columns(eps)
-    return tuple(tuple([sum([v[i] * x for i, x in col]) for col in e]) for v in columns)
 
 
 def _cut_sides(tree: MixedCobinaryTree) -> list[tuple[int, ...]]:
@@ -294,13 +281,12 @@ def wall_stability_point(
 
     The image y of the point under f_map satisfies y . root(k) = 0 and
     y . sub <= 0 on the subroots; equivalently the weight coordinates
-    (E^t)^{-1} y lie in the stability domain of |c_k|.
+    (E^t)^{-1} y lie in the stability domain of |c_k|.  Their product with
+    E is y itself, so y goes straight into the domain test.
     """
     x = wall_point(tree, k)
     edge = tree.edge(k)
-    y = f_map(x)
-    weight = linalg.mat_vec(linalg.transpose(euler_inverse(tree.epsilon)), y)
-    ok = stability_domain_contains(tree.epsilon, Root(edge.p, edge.q, 1), weight)
+    ok = _in_stability_domain(tree.epsilon, Root(edge.p, edge.q, 1), f_map(x))
     return x, ok
 
 

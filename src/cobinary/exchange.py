@@ -112,6 +112,19 @@ def euler_inverse(epsilon: Sequence[int]) -> linalg.IntMatrix:
     return _euler_pair(epsilon)[1]
 
 
+@lru_cache(maxsize=None)
+def _euler_columns(eps: SignSequence) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero entries (i, E_ij) of each column j of E: at most three."""
+    columns = zip(*euler_matrix(eps))
+    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in columns)
+
+
+def _times_euler(vectors: Sequence[Sequence], eps: SignSequence) -> tuple[tuple, ...]:
+    """v^t E for each vector v, in O(n) per vector: the one product with E."""
+    e = _euler_columns(eps)
+    return tuple(tuple([sum([v[i] * x for i, x in col]) for col in e]) for v in vectors)
+
+
 def x_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
     """E - E^t: skew-symmetric with the inner signs on the superdiagonal."""
     e = euler_matrix(epsilon)
@@ -134,6 +147,7 @@ def fz_mutate(btilde: ExchangeMatrix, k: int) -> ExchangeMatrix:
     b_ik * |b_kj| when b_ik and b_kj share a sign, with b_kj read from the
     principal part.  Rows of the bottom block never act as pivot rows.
     """
+    linalg.as_ints((k,))
     m = btilde.size
     if not 1 <= k <= m:
         raise IndexError(f"direction {k} out of range 1..{m}")

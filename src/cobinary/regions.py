@@ -34,8 +34,21 @@ from .trees import (
 RegionPoint = tuple[Fraction, ...]
 
 
+def _rational(c) -> Fraction:
+    try:
+        if type(c) is str:
+            return Fraction(c)
+        (k,) = linalg.as_ints((c,))
+        return Fraction(k)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot read exact rational coordinate {c!r}") from exc
+
+
 def as_region_point(coords: Sequence) -> RegionPoint:
-    return tuple(Fraction(c) for c in coords)
+    """The library's one rational reader: an int that is not a bool, a
+    Fraction (kept as it is) or an "a/b" string.  A float, a bool or an
+    unreadable string raises ValueError; nothing is rounded."""
+    return tuple(c if type(c) is Fraction else _rational(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,9 @@ class CMatrix:
         return linalg.transpose(self.columns)
 
     def column(self, k: int) -> tuple[int, ...]:
+        linalg.as_ints((k,))
+        if not 1 <= k <= len(self.columns):
+            raise IndexError(f"column {k} out of range 1..{len(self.columns)}")
         return self.columns[k - 1]
 
     def det(self) -> int:

@@ -10,14 +10,13 @@ fixed so identical values serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .clusters import ClusterMatrix
 from .errors import CobinaryError
 from .exchange import ExchangeMatrix
 from .linalg import as_ints
-from .regions import CMatrix, RegionPoint
+from .regions import CMatrix, RegionPoint, as_region_point
 from .trees import BinaryTree, MixedCobinaryTree, SignedEdge, make_tree
 
 
@@ -95,21 +94,15 @@ def exchange_from_obj(obj: Any) -> ExchangeMatrix:
 
 
 def point_to_obj(x: Sequence) -> list[str]:
-    fracs = [Fraction(c) for c in x]
-    return [f"{c.numerator}/{c.denominator}" for c in fracs]
+    return [f"{c.numerator}/{c.denominator}" for c in as_region_point(x)]
 
 
 def point_from_obj(obj: Sequence) -> RegionPoint:
     """Exact coordinates: JSON integers and "a/b" strings, else CobinaryError."""
-    out = []
-    for item in obj:
-        try:
-            if type(item) is not str:
-                as_ints([item])
-            out.append(Fraction(item))
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise CobinaryError(f"cannot read exact rational coordinate {item!r}")
-    return tuple(out)
+    try:
+        return as_region_point(obj)
+    except ValueError as exc:
+        raise CobinaryError(str(exc)) from exc
 
 
 def binary_tree_to_obj(bt: BinaryTree | None) -> list | None:

@@ -127,6 +127,7 @@ class MixedCobinaryTree:
             raise NotATree("duplicate edge between the same pair of nodes")
 
     def edge(self, k: int) -> SignedEdge:
+        as_ints((k,))
         if not 1 <= k <= self.n - 1:
             raise IndexError(f"edge label {k} out of range 1..{self.n - 1}")
         return self.edges[k - 1]

@@ -9,10 +9,16 @@ rank vector, final edges) has been worked out by hand.
 
 from __future__ import annotations
 
+import hashlib
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from typing import Iterable
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 import cobinary as cb
+from cobinary import cli
 
 settings.register_profile(
     "det",
@@ -77,3 +83,26 @@ def fan_tree() -> cb.MixedCobinaryTree:
 
 def all_epsilons(n: int):
     return list(cb.sign_sequences(n))
+
+
+def sha256_lines(lines: Iterable[str]) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(f"{line}\n".encode())
+    return digest.hexdigest()
+
+
+def guarded(call) -> str:
+    """repr of the result, or the exception's type and message."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def cli_in_process(*argv: str) -> str:
+    """Exit code, stdout and stderr of one `cobinary` call, run in process."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"

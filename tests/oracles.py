@@ -31,7 +31,7 @@ def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]
     n = len(eps)
     if n == 1:
         return [ClusterMatrix(())]
-    vectors = [r.vector for r in almost_positive_roots(eps)]
+    vectors = [r.vector(n) for r in almost_positive_roots(eps)]
     found = []
     for subset in combinations(sorted(vectors), n - 1):
         if is_cluster_matrix(subset, eps):

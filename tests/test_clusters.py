@@ -11,7 +11,15 @@ import pytest
 import cobinary as cb
 from cobinary import Root, linalg
 
-from conftest import CLU_C_ROWS, CLU_E_INV, CLU_EPS, all_epsilons
+from conftest import (
+    CLU_C_ROWS,
+    CLU_E_INV,
+    CLU_EPS,
+    all_epsilons,
+    cli_in_process,
+    guarded,
+    sha256_lines,
+)
 from oracles import enumerate_clusters_bruteforce
 
 RIGHT_CHAIN = (1, -1, -1, 1)  # three-vertex quiver with both arrows rightward
@@ -68,21 +76,21 @@ def test_almost_positive_root_counts():
         for eps in [(1,) * n, (-1, 1) * (n // 2) + (-1,) * (n % 2)]:
             roots = cb.almost_positive_roots(eps)
             assert len(roots) == n * (n - 1) // 2 + (n - 1)
-            assert len({r.vector for r in roots}) == len(roots)
+            assert len({r.vector(n) for r in roots}) == len(roots)
 
 
 def test_almost_positive_roots_two_nodes():
-    vectors = {r.vector for r in cb.almost_positive_roots((1, -1))}
+    vectors = {r.vector(2) for r in cb.almost_positive_roots((1, -1))}
     assert vectors == {(1,), (-1,)}
 
 
 def test_almost_positive_roots_three_nodes_structure():
     eps = (1, -1, 1)
     roots = cb.almost_positive_roots(eps)
-    positives = [r for r in roots if r.is_positive]
-    negatives = [r for r in roots if not r.is_positive]
-    assert [r.vector for r in positives] == [(1, 0), (1, 1), (0, 1)]
-    assert [r.vector for r in negatives] == [
+    positives = [r for r in roots if r.sign == 1]
+    negatives = [r for r in roots if r.sign == -1]
+    assert [r.vector(3) for r in positives] == [(1, 0), (1, 1), (0, 1)]
+    assert [r.vector(3) for r in negatives] == [
         tuple(-x for x in row) for row in cb.projective_roots(eps)
     ]
 
@@ -393,3 +401,125 @@ def test_zero_vector_is_in_every_domain():
 def test_stability_requires_matching_length():
     with pytest.raises(ValueError):
         cb.stability_domain_contains(CLU_EPS, Root(1, 2), (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the quiver side
+# ---------------------------------------------------------------------------
+# sha256 digests taken before the almost positive roots moved into one table
+# and v^t E into one product; a change to either must leave them as they are.
+
+PINNED_SHA256 = {
+    "enumerate_clusters":
+        "ae55e00baa1a710b7d8b072cc15617149a6a45356789ff2fe1a79119625bd263",
+    "projective_roots":
+        "131f992ca09e25379fee9959d8d186c2d87f8e900f89ae2bc001af524d5d27a8",
+    "cluster_violation":
+        "9265784f5a3457d68e65420bbcc1d1eff8619e9024a8e4a5a367eb52ef27a908",
+    "stability_domain_contains":
+        "5960fbb1ac588e6f90fbc26dd0ac1ea649bf0d360a9493ca8be534de5d3ab0e1",
+    "clusters stability":
+        "abed7f394965378bac5bf653601dbe39438a482819ead5e9117420a3ec1f7712",
+}
+
+
+def _root_pool(eps):
+    """The almost positive root vectors, built without the library's table."""
+    n = len(eps)
+    positive = [r.vector(n) for r in cb.positive_roots(n)]
+    return positive + [tuple(-x for x in row) for row in cb.projective_roots(eps)]
+
+
+def test_enumerate_clusters_is_pinned():
+    lines = (
+        f"{eps} {[c.columns for c in cb.enumerate_clusters(eps)]}"
+        for n in range(1, 8)
+        for eps in all_epsilons(n)
+    )
+    assert sha256_lines(lines) == PINNED_SHA256["enumerate_clusters"]
+
+
+def test_projective_roots_are_pinned():
+    lines = (
+        f"{eps} {guarded(lambda: cb.projective_roots(eps))}"
+        for n in range(1, 9)
+        for eps in all_epsilons(n)
+    )
+    assert sha256_lines(lines) == PINNED_SHA256["projective_roots"]
+
+
+def test_cluster_violation_is_pinned():
+    # Seeded column sets: mostly almost positive roots, some arbitrary or
+    # mis-sized columns, some non-integer entries, some whole clusters.
+    rng = random.Random(11)
+    lines = []
+    for _ in range(20_000):
+        n = rng.randint(1, 7)
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        pool = _root_pool(eps) if n > 1 else []
+        cols = []
+        for _ in range(max(0, n - 1 + rng.choice((0, 0, 0, 0, -1, 1)))):
+            kind = rng.random()
+            if pool and kind < 0.75:
+                cols.append(list(rng.choice(pool)))
+            elif kind < 0.9:
+                cols.append([rng.randint(-2, 2) for _ in range(n - 1)])
+            elif kind < 0.95:
+                size = max(0, n - 1 + rng.choice((-1, 1)))
+                cols.append([rng.randint(-1, 1) for _ in range(size)])
+            else:
+                cols.append([rng.choice((1, 1.0, 0, Fraction(1), -1)) for _ in range(n - 1)])
+        if n <= 5 and rng.random() < 0.1:
+            cols = [list(c) for c in rng.choice(cb.enumerate_clusters(eps)).columns]
+        wrap = rng.random() < 0.3
+
+        def call(cols=cols, eps=eps, wrap=wrap):
+            return cb.cluster_violation(cb.ClusterMatrix(cols) if wrap else cols, eps)
+
+        lines.append(f"{eps} {cols} {wrap} {guarded(call)}")
+    assert sha256_lines(lines) == PINNED_SHA256["cluster_violation"]
+
+
+def test_stability_domain_contains_is_pinned():
+    # Seeded (eps, beta, v) with integer and Fraction v; half of the v are
+    # the weight coordinates (E^t)^{-1} y of a y that often vanishes on beta.
+    rng = random.Random(12)
+    lines = []
+    for _ in range(20_000):
+        n = rng.randint(2, 7)
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        p = rng.randint(1, n - 1)
+        q = rng.randint(p + 1, n + 1 if rng.random() < 0.03 else n)
+        beta = Root(p, q, -1 if rng.random() < 0.03 else 1)
+        kind = rng.random()
+        length = n - 1 + (rng.choice((-1, 1)) if rng.random() < 0.03 else 0)
+        if kind < 0.3:
+            v = tuple(rng.randint(-2, 2) for _ in range(length))
+        elif kind < 0.5:
+            v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(length))
+        else:
+            y = [rng.randint(-3, 3) for _ in range(n - 1)]
+            if q <= n and rng.random() < 0.7:
+                y[q - 2] -= sum(y[p - 1 : q - 1])
+            if rng.random() < 0.5:
+                y = [Fraction(a, rng.randint(1, 3)) for a in y]
+            inv = cb.euler_inverse(eps)
+            v = tuple(sum(inv[j][i] * y[j] for j in range(n - 1)) for i in range(n - 1))
+            v = v[:length] if length <= n - 1 else v + (0,)
+        verdict = guarded(lambda: cb.stability_domain_contains(eps, beta, v))
+        lines.append(f"{eps} {beta} {v} {verdict}")
+    assert sha256_lines(lines) == PINNED_SHA256["stability_domain_contains"]
+
+
+def test_stability_command_is_pinned():
+    queries = [
+        ("1,-1,-1,1", "2", "4", "3,5,3"),
+        ("1,-1,-1,1", "2", "4", "1/2,0,-1/3"),
+        ("-1,1,-1,-1", "1", "4", "0.1,0.3,0.2"),
+        ("-1,1,-1,-1,1", "1", "4", "1,0,0,x"),
+    ]
+    lines = (
+        cli_in_process("clusters", "stability", "--epsilon", eps, "--p", p, "--q", q, "--v", v)
+        for eps, p, q, v in queries
+    )
+    assert sha256_lines(lines) == PINNED_SHA256["clusters stability"]

@@ -25,6 +25,8 @@ from conftest import (
     CLU_V_COLS,
     CLU_VTE_ROWS,
     all_epsilons,
+    cli_in_process,
+    sha256_lines,
 )
 from oracles import (
     cluster_violation_by_matrix,
@@ -350,8 +352,8 @@ def test_interval_euler_form_is_the_matrix_euler_form():
     for n in range(2, 9):
         for eps in all_epsilons(n):
             counts = clusters._arrow_counts(eps)
-            vectors = [r.vector for r in cb.almost_positive_roots(eps)]
-            roots = [cb.root_from_vector(v) for v in vectors]
+            roots = cb.almost_positive_roots(eps)
+            vectors = [r.vector(n) for r in roots]
             for u, a in zip(vectors, roots):
                 for v, b in zip(vectors, roots):
                     assert clusters._root_euler(counts, a, b) == cb.euler_form(eps, u, v)
@@ -363,7 +365,7 @@ def test_cluster_violation_matches_the_matrix_route():
     for trial in range(3000):
         n = rng.randint(1, 7)
         eps = tuple(rng.choice((1, -1)) for _ in range(n))
-        pool = [r.vector for r in cb.almost_positive_roots(eps)] if n > 1 else []
+        pool = [r.vector(n) for r in cb.almost_positive_roots(eps)] if n > 1 else []
         size = n - 1 if rng.random() < 0.9 else rng.randint(0, n)
         cols = []
         for _ in range(size):
@@ -550,7 +552,7 @@ def test_decode_succeeds_exactly_on_clusters():
     outcomes = set()
     for n in range(2, 6):
         for eps in all_epsilons(n):
-            pool = [r.vector for r in cb.almost_positive_roots(eps)] if n <= 4 else []
+            pool = [r.vector(n) for r in cb.almost_positive_roots(eps)] if n <= 4 else []
             for cluster in cb.enumerate_clusters(eps):
                 for k, col in enumerate(cluster.columns):
                     for new in pool + [tuple(-x for x in col)]:
@@ -579,3 +581,54 @@ def test_failed_certificates_are_named_by_gauss_jordan():
         assert str(info.value).startswith(message)
     with pytest.raises(ValueError, match="3 nodes pair with clusters of 2 columns"):
         cb.cluster_to_tree(cb.ClusterMatrix(((1,),)), (1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the correspondence
+# ---------------------------------------------------------------------------
+# sha256 digests taken before v^t E moved into one product and the wall
+# point's F(x) went straight into the domain test.
+
+PINNED_SHA256 = {
+    "wall_stability_point":
+        "7aa1bc0247fd81d3cd420927df679e2ce2e439035092330f0d3474feba315a21",
+    "bij all":
+        "efdfb54a0332dcff79b1c2028b7f06d7a069b978c094df87fecdfcaf204a1388",
+    "verify all":
+        "85038967bb3b9730ade0ee8a2b558294989f6d4ee2e94141a700b6637eabf369",
+}
+
+
+def test_wall_stability_points_are_pinned():
+    lines = (
+        f"{tree.canonical_key} {k} {cb.wall_stability_point(tree, k)}"
+        for n in range(2, 7)
+        for eps in all_epsilons(n)
+        for tree in cb.enumerate_trees(eps)
+        for k in range(1, n)
+    )
+    assert sha256_lines(lines) == PINNED_SHA256["wall_stability_point"]
+
+
+def test_bij_all_output_is_pinned():
+    lines = (
+        cli_in_process("bij", "all", "--epsilon", ",".join(map(str, eps)))
+        for n in range(1, 7)
+        for eps in all_epsilons(n)
+    )
+    assert sha256_lines(lines) == PINNED_SHA256["bij all"]
+
+
+def test_verify_all_output_is_pinned():
+    # One seeded sign sequence per n, two seeds, the default bounds, every
+    # size checked exhaustively, and the sampled branches.
+    rng = random.Random(13)
+    modes = ((), ("--n-max", "8", "--samples", "40"), ("--n-max", "2", "--samples", "60"))
+    lines = []
+    for n in range(1, 7):
+        eps = ",".join(str(rng.choice((1, -1))) for _ in range(n))
+        for seed in ("0", "5"):
+            for mode in modes:
+                out = cli_in_process("verify", "all", "--epsilon", eps, "--seed", seed, *mode)
+                lines.append(f"{eps} {seed} {mode} {out}")
+    assert sha256_lines(lines) == PINNED_SHA256["verify all"]

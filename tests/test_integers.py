@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import cobinary as cb
-from cobinary import linalg
+from cobinary import linalg, serialize
 
 from conftest import CLU_C_ROWS, CLU_EPS, CLU_V_COLS
 
@@ -27,9 +27,16 @@ ENTRY_POINTS = {
         x, (1, 1), (cb.SignedEdge(1, 1, 2, 1),)
     ),
     "Root": lambda x: cb.Root(x, 3),
-    "AlmostPositiveRoot": lambda x: cb.AlmostPositiveRoot(
-        (x, 0), root=cb.Root(1, 2)
+    # Edge labels and mutation directions.
+    "MixedCobinaryTree.edge": lambda x: cb.initial_tree((1, -1, 1)).edge(x),
+    "c_vector": lambda x: cb.c_vector(cb.initial_tree((1, -1, 1)), x),
+    "mutate": lambda x: cb.mutate(cb.initial_tree((1, -1, 1)), x),
+    "wall_point": lambda x: cb.wall_point(cb.initial_tree((1, -1, 1)), x),
+    "CMatrix.column": lambda x: cb.CMatrix(((1, 0), (1, 1))).column(x),
+    "fz_mutate": lambda x: cb.fz_mutate(
+        cb.exchange_matrix(cb.initial_tree((1, -1, 1))), x
     ),
+    "euler_form": lambda x: cb.euler_form((1, -1, 1), (x, 0), (1, 0)),
     "ClusterMatrix": lambda x: cb.ClusterMatrix(((x, 0), (0, 1))),
     "cluster_violation": lambda x: cb.cluster_violation([[x, 0], [0, 1]], (1, 1, 1)),
     "CMatrix": lambda x: cb.CMatrix(((x, 0), (0, 1))),
@@ -49,6 +56,27 @@ ENTRY_POINTS = {
 def test_entry_points_reject_non_integers(entry, value):
     with pytest.raises(ValueError, match=r"^expected an integer, got "):
         ENTRY_POINTS[entry](value)
+
+
+# Exact rational coordinates read through `regions.as_region_point`: an int,
+# a Fraction or an "a/b" string.  A float or a bool is rejected.
+NON_RATIONALS = [0.1, 2.0, True, False]
+
+RATIONAL_ENTRY_POINTS = {
+    "as_region_point": lambda x: cb.as_region_point([1, x]),
+    "stability_domain_contains": lambda x: cb.stability_domain_contains(
+        (-1, 1, -1, -1), cb.Root(1, 4), (x, Fraction(3, 10), Fraction(1, 5))
+    ),
+    "locate_tree": lambda x: cb.locate_tree((x, 5, 3), (1, -1, 1)),
+    "point_to_obj": lambda x: serialize.point_to_obj([x]),
+}
+
+
+@pytest.mark.parametrize("value", NON_RATIONALS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+def test_rational_entry_points_reject_floats_and_bools(entry, value):
+    with pytest.raises(ValueError, match=r"^cannot read exact rational coordinate "):
+        RATIONAL_ENTRY_POINTS[entry](value)
 
 
 def test_nothing_is_rounded():
@@ -72,7 +100,6 @@ def test_integer_input_gives_the_same_results():
     assert cb.as_permutation([2, 1, 3]) == (2, 1, 3)
     assert cb.SignedEdge(1, 2, 3, -1).triple == (2, 3, -1)
     assert cb.Root(1, 3, -1).vector(4) == (-1, -1, 0)
-    assert cb.AlmostPositiveRoot([1, 1], root=cb.Root(1, 3)).vector == (1, 1)
     assert cb.ClusterMatrix([[1, 0], [0, 1]]).columns == ((1, 0), (0, 1))
     assert cb.cluster_violation([[1, 0], [0, 1]], (1, 1, 1)) == (
         "columns 2 and 1 are incompatible: v_2^t E v_1 < 0"
@@ -86,3 +113,16 @@ def test_integer_input_gives_the_same_results():
     assert cb.classical_c_matrix(cb.ClusterMatrix(CLU_V_COLS), CLU_EPS).rows == CLU_C_ROWS
     assert linalg.det(((1, 2), (3, 4))) == -2
     assert linalg.inverse_integer(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    tree = cb.initial_tree((1, -1, 1))
+    assert cb.c_vector(tree, 2) == (0, 1)
+    assert cb.CMatrix(((1, 0), (1, 1))).column(2) == (1, 1)
+    assert cb.euler_form((1, -1, 1), (1, 0), (1, 0)) == 1
+
+
+def test_exact_rationals_are_read_as_they_are():
+    x = Fraction(1, 10)
+    assert cb.as_region_point([x, 2, "-3/4"]) == (x, Fraction(2), Fraction(-3, 4))
+    assert cb.as_region_point([x])[0] is x
+    # In floating point 0.1 + 0.2 != 0.3 and this point fell outside.
+    v = (x, Fraction(3, 10), Fraction(1, 5))
+    assert cb.stability_domain_contains((-1, 1, -1, -1), cb.Root(1, 4), v)

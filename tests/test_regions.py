@@ -57,6 +57,10 @@ def test_c_vector_index_range(mutation_demo_tree):
         cb.c_vector(mutation_demo_tree, 5)
     with pytest.raises(IndexError):
         cb.c_vector(mutation_demo_tree, 0)
+    cmat = cb.c_matrix(mutation_demo_tree)
+    for k in (0, 5):
+        with pytest.raises(IndexError, match="out of range 1..4"):
+            cmat.column(k)
 
 
 def test_c_matrix_determinant_is_unimodular():
