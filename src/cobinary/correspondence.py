@@ -117,17 +117,18 @@ def _euler_inverse_roots(eps: tuple[int, ...]) -> tuple[Root, ...]:
 def _cut_sides(tree: MixedCobinaryTree) -> list[tuple[int, ...]]:
     """1_{U_k} on nodes 1..n for each edge k: U_k is the part of the tree
     holding edge k's upper endpoint once edge k is deleted."""
+    pairs = list(tree.height_pairs())
     neighbours: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, tree.n + 1)}
-    for e in tree.edges:
-        neighbours[e.p].append((e.q, e.index))
-        neighbours[e.q].append((e.p, e.index))
+    for j, (lower, upper) in enumerate(pairs):
+        neighbours[lower].append((upper, j))
+        neighbours[upper].append((lower, j))
     sides = []
-    for e in tree.edges:
-        side, stack = [0] * tree.n, [e.upper]
-        side[e.upper - 1] = 1
+    for j, (_, upper) in enumerate(pairs):
+        side, stack = [0] * tree.n, [upper]
+        side[upper - 1] = 1
         while stack:
             for u, k in neighbours[stack.pop()]:
-                if k != e.index and not side[u - 1]:
+                if k != j and not side[u - 1]:
                     side[u - 1] = 1
                     stack.append(u)
         sides.append(tuple(side))
@@ -137,9 +138,10 @@ def _cut_sides(tree: MixedCobinaryTree) -> list[tuple[int, ...]]:
 def _telescopes(lifts: Sequence[Sequence[int]], tree: MixedCobinaryTree) -> bool:
     """Whether V^t E C(T) = I, from the lifts L_k of the rows of V^t E (up to
     a shift): entry (k, j) telescopes to slope_j * (L_k(q_j) - L_k(p_j))."""
-    for k, lift in enumerate(lifts, start=1):
-        for e in tree.edges:
-            if e.slope * (lift[e.q - 1] - lift[e.p - 1]) != (e.index == k):
+    triples = list(tree.edge_triples())
+    for k, lift in enumerate(lifts):
+        for j, (p, q, slope) in enumerate(triples):
+            if slope * (lift[q - 1] - lift[p - 1]) != (j == k):
                 return False
     return True
 
@@ -195,13 +197,13 @@ def cluster_to_tree_work(
     lifts = tuple(map(f_lift, vt_e))
     lifted = tuple(tuple(v - m for v in row) for row, m in zip(lifts, map(min, lifts)))
     total, ranking, tree = _rebuild(lifted, eps)
-    edges = tree.edges
+    triples = list(tree.edge_triples())
     crossing = [  # per lift, the first edge whose endpoints it tells apart
-        next((j for j, e in enumerate(edges) if lift[e.p - 1] != lift[e.q - 1]), -1)
+        next((j for j, (p, q, _) in enumerate(triples) if lift[p - 1] != lift[q - 1]), -1)
         for lift in lifted
     ]
-    if sorted(crossing) == list(range(len(edges))):
-        tree = tree.relabelled([edges[j].triple for j in crossing])
+    if sorted(crossing) == list(range(len(triples))):
+        tree = tree.relabelled([triples[j] for j in crossing])
         if _telescopes(lifted, tree):
             return BijectionWork(eps, cluster, vt_e, lifted, total, ranking, tree)
     _name_failure(vt_e)
@@ -263,12 +265,16 @@ def wall_point(tree: MixedCobinaryTree, k: int) -> RegionPoint:
     Heights come from a linear extension of the slope order with the two
     endpoints of edge k identified; every other comparison stays strict.
     """
-    edge = tree.edge(k)
+    p, q, _ = tree.edge_triple(k)
     merged = {v: v for v in range(1, tree.n + 1)}
-    merged[edge.q] = edge.p
+    merged[q] = p
     order = smallest_first_order(
-        (v for v in merged if v != edge.q),
-        ((merged[e.lower], merged[e.upper]) for e in tree.edges if e.index != k),
+        (v for v in merged if v != q),
+        (
+            (merged[lower], merged[upper])
+            for j, (lower, upper) in enumerate(tree.height_pairs(), 1)
+            if j != k
+        ),
     )
     height = {v: level for level, v in enumerate(order, start=1)}
     return as_region_point(tuple(height[merged[v]] for v in range(1, tree.n + 1)))
@@ -285,8 +291,8 @@ def wall_stability_point(
     E is y itself, so y goes straight into the domain test.
     """
     x = wall_point(tree, k)
-    edge = tree.edge(k)
-    ok = _in_stability_domain(tree.epsilon, Root(edge.p, edge.q, 1), f_map(x))
+    p, q, _ = tree.edge_triple(k)
+    ok = _in_stability_domain(tree.epsilon, Root(p, q, 1), f_map(x))
     return x, ok
 
 

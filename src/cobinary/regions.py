@@ -26,6 +26,7 @@ from .roots import Root, root_from_vector
 from .trees import (
     MixedCobinaryTree,
     SignedEdge,
+    _tree_from_flat,
     make_tree,
     slot_name,
     tree_from_permutation,
@@ -79,12 +80,11 @@ class CMatrix:
 
 def c_vector(tree: MixedCobinaryTree, k: int) -> tuple[int, ...]:
     """slope * (e_p + ... + e_{q-1}) for edge k."""
-    e = tree.edge(k)
-    return Root(e.p, e.q, e.slope).vector(tree.n)
+    return Root(*tree.edge_triple(k)).vector(tree.n)
 
 
 def c_matrix(tree: MixedCobinaryTree) -> CMatrix:
-    return CMatrix(tuple(c_vector(tree, k) for k in range(1, tree.n)))
+    return CMatrix(tuple(Root(*t).vector(tree.n) for t in tree.edge_triples()))
 
 
 def tree_from_c_matrix(
@@ -113,12 +113,17 @@ def region_contains(
     the coordinates of each edge's lower and upper endpoints."""
     if len(x) != tree.n:
         raise ValueError(f"point has length {len(x)}, tree has {tree.n} nodes")
-    for e in tree.edges:
-        low, high = x[e.p - 1], x[e.q - 1]
-        if e.slope == -1:
+    # Most calls stop at the first edge or two, so the loop indexes the flat
+    # tuple directly rather than build an iterator over its triples.
+    flat = tree.flat
+    i, end = 0, len(flat)
+    while i < end:
+        low, high = x[flat[i] - 1], x[flat[i + 1] - 1]
+        if flat[i + 2] == -1:
             low, high = high, low
         if high < low or (strict and high == low):
             return False
+        i += 3
     return True
 
 
@@ -150,32 +155,35 @@ def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
     return tree
 
 
-def _edge(index: int, lower: int, upper: int) -> SignedEdge:
-    """Edge labelled `index` from node `lower` up to node `upper`."""
-    if lower < upper:
-        return SignedEdge(index, lower, upper, 1)
-    return SignedEdge(index, upper, lower, -1)
+def _moved(
+    tree: MixedCobinaryTree, a: int, b: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(label, far endpoint) of the edges that crossing the wall of an edge
+    from its lower endpoint a up to b moves, as (down, up); label 0 where
+    there is none.
+
+    Down fills b's parent slot on a's side and up fills a's child slot on
+    b's side.
+    """
+    sign_a, sign_b = tree.epsilon[a - 1], tree.epsilon[b - 1]
+    down_slot = slot_name(sign_b, b, a, True)
+    up_slot = slot_name(sign_a, a, b, False)
+    down = up = (0, 0)
+    for label, (p, q, slope) in enumerate(tree.edge_triples(), 1):
+        lower, upper = (p, q) if slope == 1 else (q, p)
+        if lower == b and slot_name(sign_b, b, upper, True) == down_slot:
+            down = (label, upper)
+        elif upper == a and slot_name(sign_a, a, lower, False) == up_slot:
+            up = (label, lower)
+    return down, up
 
 
 def _moved_edges(
     tree: MixedCobinaryTree, edge: SignedEdge
 ) -> tuple[SignedEdge | None, SignedEdge | None]:
-    """The edges that mutation at `edge` moves, as (down, up).
-
-    With a the lower and b the upper endpoint of `edge`, down fills b's
-    parent slot on a's side and up fills a's child slot on b's side.
-    """
-    a, b = edge.lower, edge.upper
-    sign_a, sign_b = tree.epsilon[a - 1], tree.epsilon[b - 1]
-    down_slot = slot_name(sign_b, b, a, True)
-    up_slot = slot_name(sign_a, a, b, False)
-    down = up = None
-    for e in tree.edges:
-        if e.lower == b and slot_name(sign_b, b, e.upper, True) == down_slot:
-            down = e
-        elif e.upper == a and slot_name(sign_a, a, e.lower, False) == up_slot:
-            up = e
-    return down, up
+    """The edges that mutation at `edge` moves, as (down, up)."""
+    (down, _), (up, _) = _moved(tree, edge.lower, edge.upper)
+    return (tree.edge(down) if down else None, tree.edge(up) if up else None)
 
 
 def mutate(tree: MixedCobinaryTree, k: int) -> MixedCobinaryTree:
@@ -187,15 +195,17 @@ def mutate(tree: MixedCobinaryTree, k: int) -> MixedCobinaryTree:
     labels are preserved, and mutating twice at the same label is the
     identity.
     """
-    edge = tree.edge(k)
-    down, up = _moved_edges(tree, edge)
-    moved = {k: _edge(k, edge.upper, edge.lower)}
-    if down is not None:
-        moved[down.index] = _edge(down.index, edge.lower, down.upper)
-    if up is not None:
-        moved[up.index] = _edge(up.index, up.lower, edge.upper)
-    new_edges = tuple(moved.get(e.index, e) for e in tree.edges)
-    return MixedCobinaryTree(tree.n, tree.epsilon, new_edges)
+    p, q, slope = tree.edge_triple(k)
+    a, b = (p, q) if slope == 1 else (q, p)
+    (down, top), (up, bottom) = _moved(tree, a, b)
+    flat = list(tree.flat)
+    flat[3 * k - 1] = -slope
+    for j, lower, upper in ((down, a, top), (up, bottom, b)):
+        if j:
+            flat[3 * j - 3 : 3 * j] = (
+                (lower, upper, 1) if lower < upper else (upper, lower, -1)
+            )
+    return _tree_from_flat(tree.epsilon, flat)
 
 
 def mutation_sequence(

@@ -25,8 +25,8 @@ def tree_to_obj(tree: MixedCobinaryTree) -> dict[str, Any]:
         "n": tree.n,
         "epsilon": list(tree.epsilon),
         "edges": [
-            {"i": e.index, "p": e.p, "q": e.q, "slope": e.slope}
-            for e in tree.edges
+            {"i": i, "p": p, "q": q, "slope": s}
+            for i, (p, q, s) in enumerate(tree.edge_triples(), 1)
         ],
     }
 

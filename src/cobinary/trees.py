@@ -5,6 +5,9 @@ either a fork-down node (two children, one parent; sign +1) or a fork-up
 node (one child, two parents; sign -1), recorded in the sign sequence
 epsilon.  The n-1 internal edges carry a stable label 1..n-1, store their
 endpoints p < q, and a slope sign: +1 means node p sits below node q.
+A tree stores its edges as one flat int tuple, (p, q, slope) per edge in
+label order, checked by one routine however the tree is built; the
+SignedEdge values it hands out are views built from that tuple on demand.
 
 Two facts drive everything in this module:
 
@@ -30,9 +33,9 @@ identity.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -90,56 +93,114 @@ class SignedEdge:
         return self.q if self.slope == 1 else self.p
 
 
-def _labelled(triples: Iterable[EdgeTriple]) -> tuple[SignedEdge, ...]:
-    """Edges labelled in order: edge i + 1 carries the i-th triple."""
-    return tuple(SignedEdge(i + 1, p, q, s) for i, (p, q, s) in enumerate(triples))
-
-
-@dataclass(frozen=True)
 class MixedCobinaryTree:
-    """n signed nodes plus n-1 labelled signed edges, stored in label order.
+    """n signed nodes plus n-1 labelled signed edges, stored as one flat
+    int tuple `flat`: (p, q, slope) of edge 1, then of edge 2, and so on.
 
-    Construction performs only cheap structural checks; full validity (the
-    wall conditions) is enforced by :func:`make_tree`.
+    `edges` and `edge(k)` build SignedEdge views of that tuple on each call;
+    the views are not kept.  Construction performs only cheap structural
+    checks, in one routine whichever way the tree is built; full validity
+    (the wall conditions) is enforced by :func:`make_tree`.
 
     `==`, `hash` and `<` compare `canonical_key`: n, epsilon and the sorted
-    triples in one flat tuple, computed on first use and kept in `__dict__`.
+    triples in one flat tuple, computed on first use and kept.  Instances
+    are immutable.
     """
 
-    n: int
-    epsilon: SignSequence
-    edges: tuple[SignedEdge, ...]
+    __slots__ = ("n", "epsilon", "flat", "_key")
 
-    def __post_init__(self) -> None:
-        eps = as_sign_sequence(self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
-        as_ints((self.n,))
-        if self.n != len(eps):
-            raise ValueError(f"n={self.n} but sign sequence has length {len(eps)}")
-        edges = tuple(sorted(self.edges, key=lambda e: e.index))
-        object.__setattr__(self, "edges", edges)
-        if [e.index for e in edges] != list(range(1, self.n)):
+    def __init__(
+        self, n: int, epsilon: Sequence[int], edges: Iterable[SignedEdge]
+    ) -> None:
+        eps = as_sign_sequence(epsilon)
+        as_ints((n,))
+        if n != len(eps):
+            raise ValueError(f"n={n} but sign sequence has length {len(eps)}")
+        edges = tuple(edges)
+        for e in edges:
+            if not isinstance(e, SignedEdge):
+                raise TypeError(f"edges must be SignedEdge values, got {e!r}")
+        edges = sorted(edges, key=lambda e: e.index)
+        if [e.index for e in edges] != list(range(1, n)):
             raise ValueError("edge labels must be exactly 1..n-1")
-        if any(e.q > self.n for e in edges):
-            raise ValueError("edge endpoint out of range")
-        pairs = {(e.p, e.q) for e in edges}
-        if len(pairs) != len(edges):
+        self._store(eps, chain.from_iterable(e.triple for e in edges))
+
+    def _store(self, eps: SignSequence, flat: Iterable[int]) -> None:
+        """Check and keep the flat edge tuple: 3(n-1) ints with
+        1 <= p < q <= n, slope +-1 and no two edges on the same pair."""
+        n = len(eps)
+        flat = as_ints(flat)
+        if len(flat) != 3 * (n - 1):
+            raise ValueError(f"need {3 * (n - 1)} entries for {n} nodes, got {len(flat)}")
+        ps, qs = flat[0::3], flat[1::3]
+        for p, q, s in zip(ps, qs, flat[2::3]):
+            if not 1 <= p < q:
+                raise ValueError(f"need 1 <= p < q, got ({p}, {q})")
+            if q > n:
+                raise ValueError("edge endpoint out of range")
+            if s != 1 and s != -1:
+                raise ValueError(f"slope must be +-1, got {s}")
+        if len(set(zip(ps, qs))) != n - 1:
             raise NotATree("duplicate edge between the same pair of nodes")
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "epsilon", eps)
+        put(self, "flat", flat)
+        put(self, "_key", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _tree_from_flat, (self.epsilon, self.flat)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(n={self.n!r}, "
+            f"epsilon={self.epsilon!r}, edges={self.edges!r})"
+        )
+
+    def edge_triples(self) -> Iterator[EdgeTriple]:
+        """(p, q, slope) of each edge, in label order."""
+        entries = iter(self.flat)
+        return zip(entries, entries, entries)
+
+    def height_pairs(self) -> Iterator[tuple[int, int]]:
+        """(lower, upper) endpoints of each edge, in label order."""
+        return ((p, q) if s == 1 else (q, p) for p, q, s in self.edge_triples())
+
+    @property
+    def edges(self) -> tuple[SignedEdge, ...]:
+        return tuple(SignedEdge(i, *t) for i, t in enumerate(self.edge_triples(), 1))
 
     def edge(self, k: int) -> SignedEdge:
+        return SignedEdge(k, *self.edge_triple(k))
+
+    def edge_triple(self, k: int) -> EdgeTriple:
+        """(p, q, slope) of edge k."""
         as_ints((k,))
         if not 1 <= k <= self.n - 1:
             raise IndexError(f"edge label {k} out of range 1..{self.n - 1}")
-        return self.edges[k - 1]
+        return self.flat[3 * k - 3 : 3 * k]  # type: ignore[return-value]
 
     @property
     def triples(self) -> tuple[EdgeTriple, ...]:
         """Edge triples sorted by (p, q); the canonical identity of the tree."""
-        return tuple(sorted(e.triple for e in self.edges))
+        return tuple(sorted(self.edge_triples()))
 
-    @cached_property
+    @property
     def canonical_key(self) -> tuple:
-        return (self.n, self.epsilon, tuple(x for t in self.triples for x in t))
+        key = self._key
+        if key is None:
+            flat = self.flat
+            ordered = tuple(chain.from_iterable(sorted(self.edge_triples())))
+            # A tree labelled in (p, q) order shares its flat tuple.
+            key = (self.n, self.epsilon, flat if ordered == flat else ordered)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedCobinaryTree):
@@ -149,14 +210,24 @@ class MixedCobinaryTree:
     def __hash__(self) -> int:
         return hash(self.canonical_key)
 
-    def __lt__(self, other: "MixedCobinaryTree") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, MixedCobinaryTree):
+            return NotImplemented
         return self.canonical_key < other.canonical_key
 
     def relabelled(self, triples: Sequence[EdgeTriple]) -> "MixedCobinaryTree":
         """Same tree with edge i carrying the i-th triple of `triples`."""
         if sorted(triples) != list(self.triples):
             raise ValueError("relabelling must preserve the edge set")
-        return MixedCobinaryTree(self.n, self.epsilon, _labelled(triples))
+        return _tree_from_flat(self.epsilon, chain.from_iterable(triples))
+
+
+def _tree_from_flat(epsilon: Sequence[int], flat: Iterable[int]) -> MixedCobinaryTree:
+    """Build a tree from its flat edge tuple, through the same checks as the
+    public constructor."""
+    tree = object.__new__(MixedCobinaryTree)
+    tree._store(as_sign_sequence(epsilon), flat)
+    return tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +277,7 @@ def _tree_from_triples(
     epsilon: Sequence[int], triples: Iterable[EdgeTriple]
 ) -> MixedCobinaryTree:
     """Build a tree assigning canonical labels: edges sorted by (p, q)."""
-    return MixedCobinaryTree(len(epsilon), tuple(epsilon), _labelled(sorted(triples)))
+    return _tree_from_flat(epsilon, chain.from_iterable(sorted(triples)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +353,6 @@ def _slope_graph(
     return succ, indegree
 
 
-def _tree_slopes(tree: MixedCobinaryTree) -> Iterator[tuple[int, int]]:
-    return ((e.lower, e.upper) for e in tree.edges)
-
-
 def smallest_first_order(
     nodes: Iterable[int], slopes: Iterable[tuple[int, int]]
 ) -> list[int]:
@@ -310,7 +377,7 @@ def smallest_first_order(
 def linear_extension(tree: MixedCobinaryTree) -> Permutation:
     """One permutation realizing the tree (smallest-node-first extension)."""
     sigma = [0] * tree.n
-    order = smallest_first_order(range(1, tree.n + 1), _tree_slopes(tree))
+    order = smallest_first_order(range(1, tree.n + 1), tree.height_pairs())
     for rank, v in enumerate(order, start=1):
         sigma[v - 1] = rank
     return tuple(sigma)
@@ -319,7 +386,7 @@ def linear_extension(tree: MixedCobinaryTree) -> Permutation:
 def permutations_of(tree: MixedCobinaryTree) -> set[Permutation]:
     """All height permutations realizing the tree: the linear extensions of
     the slope order, with sigma(p) < sigma(q) on every upward edge."""
-    succ, indegree = _slope_graph(range(1, tree.n + 1), _tree_slopes(tree))
+    succ, indegree = _slope_graph(range(1, tree.n + 1), tree.height_pairs())
     sigma = [0] * tree.n
     found: set[Permutation] = set()
     # One frame per rank: the nodes ready at that rank and how many have been
@@ -395,9 +462,9 @@ def _slot_table(tree: MixedCobinaryTree) -> dict[int, dict[str, list[int]]]:
     """
     eps = tree.epsilon
     table = {v: {name: [] for name in _SLOTS[s]} for v, s in enumerate(eps, 1)}
-    for e in tree.edges:
-        for v, other in ((e.p, e.q), (e.q, e.p)):
-            table[v][slot_name(eps[v - 1], v, other, other == e.upper)].append(other)
+    for lower, upper in tree.height_pairs():
+        for v, other in ((lower, upper), (upper, lower)):
+            table[v][slot_name(eps[v - 1], v, other, other == upper)].append(other)
     for v, slots in table.items():
         for name, found in slots.items():
             if len(found) > 1:
@@ -421,8 +488,14 @@ def make_tree(
     """
     eps = as_sign_sequence(epsilon)
     edge_list = list(edges)
-    if edge_list and not isinstance(edge_list[0], SignedEdge):
-        edge_list = list(_labelled(sorted(map(tuple, edge_list))))
+    kinds = {isinstance(e, SignedEdge) for e in edge_list}
+    if len(kinds) > 1:
+        raise ValueError(
+            "edges must be all SignedEdge values or all (p, q, slope) triples"
+        )
+    if kinds == {False}:
+        triples = sorted(map(tuple, edge_list))
+        edge_list = [SignedEdge(i, p, q, s) for i, (p, q, s) in enumerate(triples, 1)]
     _check_spanning_tree(len(eps), edge_list)  # type: ignore[arg-type]
     tree = MixedCobinaryTree(len(eps), eps, tuple(edge_list))  # type: ignore[arg-type]
     _slot_table(tree)
@@ -500,9 +573,10 @@ def enumerate_trees(epsilon: Sequence[int]) -> list[MixedCobinaryTree]:
     """
     eps = as_sign_sequence(epsilon)
     states = _enumerate_states(tuple(range(1, len(eps) + 1)), eps[-1], eps, {})
-    # One n and one epsilon: the sorted triples alone give the canonical order.
-    ordered = sorted(tuple(sorted(edges)) for edges, _, _ in states)
-    return [_tree_from_triples(eps, triples) for triples in ordered]
+    # One n and one epsilon: the sorted triples alone give the canonical
+    # order, and comparing them flattened compares them triple by triple.
+    ordered = sorted(tuple(chain.from_iterable(sorted(edges))) for edges, _, _ in states)
+    return [_tree_from_flat(eps, flat) for flat in ordered]
 
 
 def sign_sequences(n: int) -> Iterator[SignSequence]:
@@ -523,11 +597,9 @@ def sign_sequences(n: int) -> Iterator[SignSequence]:
 
 def flip_horizontal(tree: MixedCobinaryTree) -> MixedCobinaryTree:
     """Mirror through a horizontal axis: all signs and slopes negate."""
-    return MixedCobinaryTree(
-        tree.n,
-        tuple(-s for s in tree.epsilon),
-        tuple(SignedEdge(e.index, e.p, e.q, -e.slope) for e in tree.edges),
-    )
+    flat = list(tree.flat)
+    flat[2::3] = [-s for s in flat[2::3]]
+    return _tree_from_flat(tuple(-s for s in tree.epsilon), flat)
 
 
 def reverse_tree(tree: MixedCobinaryTree) -> MixedCobinaryTree:
@@ -536,14 +608,8 @@ def reverse_tree(tree: MixedCobinaryTree) -> MixedCobinaryTree:
     Edge labels travel with their edges.
     """
     n = tree.n
-    return MixedCobinaryTree(
-        n,
-        tuple(reversed(tree.epsilon)),
-        tuple(
-            SignedEdge(e.index, n + 1 - e.q, n + 1 - e.p, -e.slope)
-            for e in tree.edges
-        ),
-    )
+    flat = [(n + 1 - q, n + 1 - p, -s) for p, q, s in tree.edge_triples()]
+    return _tree_from_flat(tuple(reversed(tree.epsilon)), chain.from_iterable(flat))
 
 
 # ---------------------------------------------------------------------------

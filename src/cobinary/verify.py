@@ -206,13 +206,12 @@ def _sign_cases_hold(tree: MixedCobinaryTree) -> bool:
     if tree.n == 1:
         return True
     b = exchange_matrix(tree).b_rows
-    for k in range(1, tree.n):
-        ek = tree.edge(k)
-        for j in range(1, tree.n):
+    edges = tree.edges
+    for k, ek in enumerate(edges):
+        for j, ej in enumerate(edges):
             if j == k:
                 continue
-            ej = tree.edge(j)
-            entry = b[k - 1][j - 1]
+            entry = b[k][j]
             shared = {ek.p, ek.q} & {ej.p, ej.q}
             if not shared:
                 if entry != 0:

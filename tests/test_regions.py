@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import cobinary as cb
 from cobinary import linalg
+from cobinary.serialize import dumps, tree_to_obj
 
 from conftest import (
     CLU_C_ROWS,
@@ -20,6 +21,7 @@ from conftest import (
     MUT_EPS,
     MUT_K,
     all_epsilons,
+    sha256_lines,
 )
 from oracles import mutate_c_columns, region_contains_by_gaps
 
@@ -188,6 +190,23 @@ def test_mutation_is_an_involution_everywhere():
             for tree in cb.enumerate_trees(eps):
                 for k in range(1, n):
                     assert cb.mutate(cb.mutate(tree, k), k) == tree
+
+
+# sha256 of the serialized mutation of every tree at every edge with n <= 6,
+# in enumeration order, captured before trees were stored as flat int
+# tuples: pins the moved edges, their labels and their slopes.
+ALL_MUTATIONS_SHA256 = "631adef1fa09c90a5e2934b6dc299734d5489bc4775b5001fc9dbb7232184eb5"
+
+
+def test_every_small_mutation_is_pinned():
+    lines = (
+        dumps(tree_to_obj(cb.mutate(tree, k)))
+        for n in range(1, 7)
+        for eps in all_epsilons(n)
+        for tree in cb.enumerate_trees(eps)
+        for k in range(1, n)
+    )
+    assert sha256_lines(lines) == ALL_MUTATIONS_SHA256
 
 
 def test_first_wall_of_three_node_staircase():

@@ -24,6 +24,7 @@ from conftest import (
     MUT_EDGES,
     MUT_EPS,
     all_epsilons,
+    sha256_lines,
 )
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,41 @@ def test_make_tree_keeps_caller_edge_labels():
     tree = cb.make_tree((-1, -1, 1), edges)
     assert tree.edge(1).triple == (2, 3, 1)
     assert tree.edge(2).triple == (1, 2, 1)
+
+
+# Edge lists that mix SignedEdge values with triples, in either order.
+MIXED_EDGE_LISTS = [
+    [cb.SignedEdge(1, 1, 2, 1), (2, 3, 1)],
+    [(1, 2, 1), cb.SignedEdge(2, 2, 3, 1)],
+    [cb.SignedEdge(1, 1, 2, 1), [2, 3, 1]],
+    [(2, 3, 1), (1, 2, 1), cb.SignedEdge(3, 3, 4, 1)],
+]
+
+
+@pytest.mark.parametrize("edges", MIXED_EDGE_LISTS, ids=repr)
+def test_make_tree_rejects_a_mix_of_signed_edges_and_triples(edges):
+    message = "edges must be all SignedEdge values or all (p, q, slope) triples"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cb.make_tree((1,) * (len(edges) + 1), edges)
+
+
+# The raw constructor takes SignedEdge values only; anything else in the
+# edge list is a TypeError, whatever the other entries are.
+NOT_SIGNED_EDGES = [
+    (2, [(1, 2, 1)]),
+    (3, [(1, 2, 1), (2, 3, 1)]),
+    (3, [[1, 2, 1], [2, 3, 1]]),
+    (3, [cb.SignedEdge(1, 1, 2, 1), (2, 3, 1)]),
+    (3, [(1, 2, 1), cb.SignedEdge(2, 2, 3, 1)]),
+    (3, [None, None]),
+    (2, [cb.Root(1, 2)]),
+]
+
+
+@pytest.mark.parametrize("n, edges", NOT_SIGNED_EDGES, ids=repr)
+def test_raw_constructor_requires_signed_edges(n, edges):
+    with pytest.raises(TypeError, match=r"^edges must be SignedEdge values, got "):
+        cb.MixedCobinaryTree(n, (1,) * n, edges)
 
 
 def test_make_tree_valid_full_example():
@@ -498,6 +534,32 @@ def test_equality_distinguishes_sign_sequences():
     a = cb.initial_tree((1, 1))
     b = cb.initial_tree((1, -1))
     assert a != b
+
+
+@pytest.mark.parametrize("other", [5, None, "tree", (1, 2, 1)], ids=repr)
+def test_ordering_against_a_non_tree_is_a_type_error(other):
+    tree = cb.initial_tree((1, -1, 1))
+    with pytest.raises(TypeError, match="not supported between instances"):
+        tree < other
+    with pytest.raises(TypeError, match="not supported between instances"):
+        other > tree
+    assert tree != other
+
+
+# sha256 of repr(t) and t.triples for every tree with n <= 5, captured
+# before trees were stored as flat int tuples: the repr still lists
+# SignedEdge values, and the WallViolation message prints `triples`.
+REPR_AND_TRIPLES_SHA256 = "ff23be9ac6c6792ce77693fe61fd7b93ee7b499283dcc82aa6fe21911570a215"
+
+
+def test_repr_and_triples_of_every_small_tree_are_pinned():
+    lines = (
+        f"{t!r} {t.triples!r}"
+        for n in range(1, 6)
+        for eps in all_epsilons(n)
+        for t in cb.enumerate_trees(eps)
+    )
+    assert sha256_lines(lines) == REPR_AND_TRIPLES_SHA256
 
 
 # ---------------------------------------------------------------------------
