@@ -236,6 +236,8 @@ def stability_domain_contains(
     """Whether v lies in the stability domain of the positive root beta:
     v^t E beta = 0 and v^t E beta' <= 0 on every proper subroot beta'."""
     eps = as_sign_sequence(epsilon)
+    if beta.sign != 1:
+        raise NotARoot(f"stability domains are defined for positive roots, got {beta}")
     n = len(eps)
     point = as_region_point(v)
     if len(point) != n - 1:

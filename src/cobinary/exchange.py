@@ -131,13 +131,35 @@ def x_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
     return linalg.mat_sub(e, linalg.transpose(e))
 
 
+@lru_cache(maxsize=None)
+def _x_prefix(eps: SignSequence) -> linalg.IntMatrix:
+    """2-D prefix sums of X = E - E^t: entry (i, j) sums X over the rows
+    below i and the columns below j, so any block of X costs four reads."""
+    x = x_matrix(eps)
+    s = [[0] * (len(x) + 1)]
+    for row in x:
+        s.append([a + b for a, b in zip(s[-1], (0, *accumulate(row)))])
+    return tuple(map(tuple, s))
+
+
 def exchange_matrix(tree: MixedCobinaryTree) -> ExchangeMatrix:
-    """[C^t X C ; C] for the tree's c-matrix C.  Empty for a single node."""
+    """[C^t X C ; C] for the tree's c-matrix C.  Empty for a single node.
+
+    Column k of C is s_k times the indicator of [p_k, q_k), so entry (k, j)
+    of C^t X C is s_k s_j times the sum of X over that block pair: O(1) per
+    entry from the prefix table of X."""
     if tree.n == 1:
         return ExchangeMatrix((), ())
-    c = c_matrix(tree)  # the rows of C^t are the columns of C
-    ct_x = linalg.mat_mul(c.columns, x_matrix(tree.epsilon))
-    return ExchangeMatrix(linalg.mat_mul(ct_x, c.rows), c.rows)
+    s = _x_prefix(tree.epsilon)
+    triples = tuple(tree.edge_triples())
+    b = []
+    for pk, qk, sk in triples:
+        top, bottom = s[pk - 1], s[qk - 1]
+        b.append(tuple(
+            sk * sj * (bottom[qj - 1] - top[qj - 1] - bottom[pj - 1] + top[pj - 1])
+            for pj, qj, sj in triples
+        ))
+    return ExchangeMatrix(tuple(b), c_matrix(tree).rows)
 
 
 def fz_mutate(btilde: ExchangeMatrix, k: int) -> ExchangeMatrix:

@@ -33,6 +33,7 @@ from .trees import (
 )
 
 RegionPoint = tuple[Fraction, ...]
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _rational(c) -> Fraction:
@@ -109,10 +110,21 @@ def region_contains(
     tree: MixedCobinaryTree, x: Sequence, strict: bool = True
 ) -> bool:
     """Whether x satisfies every edge inequality slope*(x_q - x_p) > 0
-    (>= 0 for the closed region when strict is False), tested by comparing
-    the coordinates of each edge's lower and upper endpoints."""
+    (>= 0 for the closed region when strict is False).  A coordinate that
+    is not an int or a Fraction is read through :func:`as_region_point`, so
+    a float, a bool or a string that is not a rational raises ValueError."""
     if len(x) != tree.n:
         raise ValueError(f"point has length {len(x)}, tree has {tree.n} nodes")
+    # Ints and Fractions are exact as they are; converting ints to Fractions
+    # would only make each comparison slower.
+    if not _EXACT_TYPES.issuperset(map(type, x)):
+        x = as_region_point(x)
+    return _contains(tree, x, strict)
+
+
+def _contains(tree: MixedCobinaryTree, x: Sequence, strict: bool = True) -> bool:
+    """region_contains on an exact point of the right length, tested by
+    comparing the coordinates of each edge's lower and upper endpoints."""
     # Most calls stop at the first edge or two, so the loop indexes the flat
     # tuple directly rather than build an iterator over its triples.
     flat = tree.flat
@@ -150,7 +162,7 @@ def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
     if len(point) != len(epsilon):
         raise ValueError("point and sign sequence must have equal length")
     tree = tree_from_permutation(rank_permutation(point), epsilon)
-    if not region_contains(tree, point, strict=True):
+    if not _contains(tree, point):
         raise VerificationFailed(f"tree located for x={tuple(x)} misses x")
     return tree
 

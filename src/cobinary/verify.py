@@ -25,9 +25,10 @@ from .correspondence import (
     wall_stability_point,
 )
 from .exchange import exchange_matrix, fz_mutate, x_matrix
-from .regions import c_matrix, locate_tree, mutate, region_contains
+from .regions import _contains, c_matrix, locate_tree, mutate, region_contains
 from .roots import interval_vector
 from .trees import (
+    EdgeTriple,
     MixedCobinaryTree,
     as_sign_sequence,
     catalan,
@@ -87,7 +88,7 @@ def suite_perm_partition(eps, n_max, samples, seed) -> SuiteResult:
     for _ in range(samples):
         sigma = _random_permutation(rng, n)
         tree = tree_from_permutation(sigma, eps)
-        ok = ok and region_contains(tree, sigma)
+        ok = ok and _contains(tree, sigma)
     return SuiteResult("perm-partition", ok, f"mode=sampled samples={samples}")
 
 
@@ -148,9 +149,31 @@ def suite_bijection(eps, n_max, samples, seed) -> SuiteResult:
     return SuiteResult("bijection", ok, f"pairs={len(clusters)}")
 
 
+def _edge_masks(trees: Sequence[MixedCobinaryTree]) -> dict[EdgeTriple, int]:
+    """Bit i of masks[(p, q, slope)] is set when trees[i] has that edge."""
+    masks: dict[EdgeTriple, int] = {}
+    for i, tree in enumerate(trees):
+        for triple in tree.edge_triples():
+            masks[triple] = masks.get(triple, 0) | 1 << i
+    return masks
+
+
+def _trees_missing(masks: dict[EdgeTriple, int], x: Sequence) -> int:
+    """Bitmask of the trees whose open region misses x, a point with
+    distinct coordinates: those with an edge whose slope disagrees with x."""
+    out = 0
+    for q in range(2, len(x) + 1):
+        xq = x[q - 1]
+        for p in range(1, q):
+            out |= masks.get((p, q, -1 if xq > x[p - 1] else 1), 0)
+    return out
+
+
 def suite_region_partition(eps, n_max, samples, seed) -> SuiteResult:
     n = len(eps)
     trees = enumerate_trees(eps)
+    masks = _edge_masks(trees)
+    every = (1 << len(trees)) - 1
     rng = _rng(seed, "region-partition")
     ok = True
     tested = 0
@@ -165,8 +188,12 @@ def suite_region_partition(eps, n_max, samples, seed) -> SuiteResult:
         # Regions are cones: the integer point scale * x lies in the same ones.
         scale = lcm(*(c.denominator for c in x))
         scaled = tuple(c.numerator * (scale // c.denominator) for c in x)
-        inside = [t for t in trees if region_contains(t, scaled, strict=True)]
-        ok = ok and len(inside) == 1 and locate_tree(x, eps) == inside[0]
+        inside = every & ~_trees_missing(masks, scaled)
+        # One bit set: the region of exactly one tree holds x.
+        ok = ok and inside != 0 and inside & (inside - 1) == 0
+        if ok:
+            tree = trees[inside.bit_length() - 1]
+            ok = locate_tree(x, eps) == tree and region_contains(tree, scaled)
     return SuiteResult(
         "region-partition", ok, f"samples={samples} seed={seed}"
     )

@@ -49,6 +49,16 @@ def region_contains_by_gaps(
     return all(g > 0 if strict else g >= 0 for g in gaps)
 
 
+def exchange_matrix_by_products(tree: MixedCobinaryTree) -> linalg.IntMatrix:
+    """The principal part C^t X C, X = E - E^t, by two dense products."""
+    if tree.n == 1:
+        return ()
+    e = euler_matrix(tree.epsilon)
+    cmat = c_matrix(tree)
+    x = linalg.mat_sub(e, linalg.transpose(e))
+    return linalg.mat_mul(linalg.mat_mul(cmat.columns, x), cmat.rows)
+
+
 def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:
     """Column recipe for mutation at k: add column k to the columns of the
     moved edges, then negate column k."""

@@ -403,11 +403,22 @@ def test_stability_requires_matching_length():
         cb.stability_domain_contains(CLU_EPS, Root(1, 2), (1, 0))
 
 
+@pytest.mark.parametrize("v", [(1, 0, 0), (0, 0, 0), (1, 0)])
+def test_stability_requires_a_positive_root(v):
+    # A negative root used to give False for v = (1, 0, 0), because the sign
+    # was checked only once v^t E beta = 0, and a length error for (1, 0).
+    with pytest.raises(cb.NotARoot, match="positive roots"):
+        cb.stability_domain_contains((1, -1, -1, 1), Root(2, 4, -1), v)
+
+
 # ---------------------------------------------------------------------------
 # pinned outputs of the quiver side
 # ---------------------------------------------------------------------------
 # sha256 digests taken before the almost positive roots moved into one table
 # and v^t E into one product; a change to either must leave them as they are.
+# The stability_domain_contains digest was retaken once, when a negative beta
+# began to raise NotARoot for every v: its 607 negative-beta rows changed
+# (337 were False, 236 NotARoot from subroots, 34 ValueError) and no other.
 
 PINNED_SHA256 = {
     "enumerate_clusters":
@@ -417,7 +428,7 @@ PINNED_SHA256 = {
     "cluster_violation":
         "9265784f5a3457d68e65420bbcc1d1eff8619e9024a8e4a5a367eb52ef27a908",
     "stability_domain_contains":
-        "5960fbb1ac588e6f90fbc26dd0ac1ea649bf0d360a9493ca8be534de5d3ab0e1",
+        "73fc1a52a9e2c723eb24f5f178d3623d9977d2bccf2b9098ef4b1f175aed98c6",
     "clusters stability":
         "abed7f394965378bac5bf653601dbe39438a482819ead5e9117420a3ec1f7712",
 }

@@ -6,6 +6,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cobinary as cb
 from cobinary import linalg
@@ -19,6 +21,7 @@ from conftest import (
     MUT_K,
     all_epsilons,
 )
+from oracles import exchange_matrix_by_products
 
 # ---------------------------------------------------------------------------
 # Euler and X matrices
@@ -295,6 +298,38 @@ def test_principal_part_sign_laws():
                         else:
                             assert ek.p == ej.q
                             assert entry == -eps[ek.p - 1] * ej.slope * ek.slope
+
+
+def test_exchange_matrix_matches_the_dense_product():
+    for n in range(1, 8):
+        for eps in all_epsilons(n):
+            for tree in cb.enumerate_trees(eps):
+                assert cb.exchange_matrix(tree).b_rows == exchange_matrix_by_products(tree)
+
+
+@given(
+    st.integers(min_value=12, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(1, n + 1)),
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+        )
+    )
+)
+def test_exchange_matrix_matches_the_dense_product_at_larger_n(case):
+    sigma, eps = case
+    tree = cb.tree_from_permutation(sigma, eps)
+    assert cb.exchange_matrix(tree).b_rows == exchange_matrix_by_products(tree)
+
+
+def test_exchange_matrix_needs_no_dense_product(monkeypatch):
+    tree = cb.enumerate_trees((1, -1, 1, 1, -1, 1, -1))[100]
+    expected = exchange_matrix_by_products(tree)
+
+    def refuse(a, b):
+        raise AssertionError("exchange_matrix multiplied dense matrices")
+
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    assert cb.exchange_matrix(tree).b_rows == expected
 
 
 # sha256 of repr((B, C)) of exchange_matrix(tree), then of fz_mutate at each

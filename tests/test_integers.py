@@ -68,6 +68,7 @@ RATIONAL_ENTRY_POINTS = {
         (-1, 1, -1, -1), cb.Root(1, 4), (x, Fraction(3, 10), Fraction(1, 5))
     ),
     "locate_tree": lambda x: cb.locate_tree((x, 5, 3), (1, -1, 1)),
+    "region_contains": lambda x: cb.region_contains(cb.initial_tree((1, 1, 1)), (x, 2, 3)),
     "point_to_obj": lambda x: serialize.point_to_obj([x]),
 }
 

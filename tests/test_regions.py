@@ -167,6 +167,19 @@ def test_region_needs_matching_length(fan_tree):
         cb.region_contains(fan_tree, (1, 2, 3))
 
 
+@pytest.mark.parametrize("x", [(0.1, 0.2, 0.3), (True, 2, 3), ("a", "b", "c")], ids=repr)
+def test_region_membership_reads_exact_rationals(x):
+    # Each of these used to be compared as given and reported inside.
+    with pytest.raises(ValueError, match=r"^cannot read exact rational coordinate "):
+        cb.region_contains(cb.initial_tree((1, 1, 1)), x)
+
+
+def test_region_membership_accepts_rational_strings():
+    tree = cb.initial_tree((1, 1, 1))
+    assert cb.region_contains(tree, ("1/10", "1/5", Fraction(3, 10)))
+    assert not cb.region_contains(tree, ("1/5", "1/10", 3))
+
+
 # ---------------------------------------------------------------------------
 # mutation
 # ---------------------------------------------------------------------------
