@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from . import linalg
 from .errors import NotACluster, NotARoot, VerificationFailed
 from .exchange import (
-    _arrow_counts,
-    _root_euler,
     _times_euler,
     euler_inverse,
     euler_matrix,
@@ -53,6 +52,40 @@ def _almost_positive_roots(eps: SignSequence) -> tuple[Root, ...]:
     order, then the n - 1 negated projective roots in vertex order."""
     projective = (-root_from_vector(row) for row in projective_roots(eps))
     return (*positive_roots(len(eps)), *projective)
+
+
+@lru_cache(maxsize=None)
+def _root_positions(eps: SignSequence) -> dict[IntVector, int]:
+    """Each almost positive root's vector and its position in the table."""
+    n = len(eps)
+    return {r.vector(n): at for at, r in enumerate(_almost_positive_roots(eps))}
+
+
+@lru_cache(maxsize=None)
+def _euler_row(eps: SignSequence, at: int) -> tuple[IntVector, IntVector]:
+    """For v = _almost_positive_roots(eps)[at]: the row v^t E and its lift
+    L, the prefix sums (0, ...) of v^t E shifted to minimum 0, so that
+    v^t E (e_p + ... + e_{q-1}) = L[q-1] - L[p-1].  The decoder reads L as
+    a cut indicator.  Entries are kept per root, not per table, because a
+    cluster reads only n - 1 of the n(n + 1)/2 - 1 roots."""
+    v = _almost_positive_roots(eps)[at].vector(len(eps))
+    (row,) = _times_euler((v,), eps)
+    lift = (0, *accumulate(row))
+    low = min(lift)
+    return row, tuple(x - low for x in lift)
+
+
+@lru_cache(maxsize=None)
+def _compatibility_row(eps: SignSequence, at: int) -> int:
+    """The directed-compatibility row of u = _almost_positive_roots(eps)[at],
+    the one home of the compatibility rule: bit b is set when root v_b is
+    negative or u^t E v_b >= 0."""
+    lift = _euler_row(eps, at)[1]
+    return sum(
+        1 << b
+        for b, v in enumerate(_almost_positive_roots(eps))
+        if v.sign == -1 or lift[v.q - 1] >= lift[v.p - 1]
+    )
 
 
 def almost_positive_roots(epsilon: Sequence[int]) -> tuple[Root, ...]:
@@ -138,20 +171,17 @@ def cluster_violation(
         return "column of wrong length"
     if len(set(cols)) != len(cols):
         return "columns are not distinct"
-    negated_projective = _almost_positive_roots(eps)[-(n - 1) :]
-    counts = _arrow_counts(eps)
-    roots = []
+    position = _root_positions(eps)
+    picked = []
     for col in cols:
-        try:
-            root = root_from_vector(col)
-        except NotARoot:
-            root = None
-        if root is None or (root.sign == -1 and root not in negated_projective):
+        at = position.get(col)
+        if at is None:
             return f"column {col} is not an almost positive root"
-        roots.append(root)
-    for i, a in enumerate(roots):
-        for j, b in enumerate(roots):
-            if b.sign == 1 and _root_euler(counts, a, b) < 0:
+        picked.append(at)
+    for i, a in enumerate(picked):
+        row = _compatibility_row(eps, a)
+        for j, b in enumerate(picked):
+            if not row >> b & 1:
                 return (
                     f"columns {i + 1} and {j + 1} are incompatible: "
                     f"v_{i + 1}^t E v_{j + 1} < 0"
@@ -171,12 +201,6 @@ def initial_cluster(epsilon: Sequence[int]) -> ClusterMatrix:
     return ClusterMatrix(projective_roots(epsilon))
 
 
-def _compatible(counts: tuple[IntVector, IntVector], u: Root, v: Root) -> bool:
-    return (v.sign == -1 or _root_euler(counts, u, v) >= 0) and (
-        u.sign == -1 or _root_euler(counts, v, u) >= 0
-    )
-
-
 def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
     """All clusters, as column-sorted matrices in lexicographic order.
 
@@ -188,10 +212,12 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
     n = len(eps)
     if n == 1:
         return [ClusterMatrix(())]
-    roots = _almost_positive_roots(eps)
-    vectors = [r.vector(n) for r in roots]
-    counts = _arrow_counts(eps)
-    compatible = [[_compatible(counts, u, v) for v in roots] for u in roots]
+    vectors = list(_root_positions(eps))  # in table order
+    rows = [_compatibility_row(eps, at) for at in range(len(vectors))]
+    compatible = [  # bit v of row u when u and v are compatible both ways
+        sum(1 << v for v, other in enumerate(rows) if row >> v & other >> u & 1)
+        for u, row in enumerate(rows)
+    ]
     found: list[ClusterMatrix] = []
 
     def grow(clique: list[int], candidates: list[int]) -> None:
@@ -200,9 +226,9 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
             found.append(ClusterMatrix(tuple(sorted(vectors[i] for i in clique))))
             return
         for at, c in enumerate(candidates[: len(candidates) - need + 1]):
-            grow(clique + [c], [d for d in candidates[at + 1 :] if compatible[c][d]])
+            grow(clique + [c], [d for d in candidates[at + 1 :] if compatible[c] >> d & 1])
 
-    grow([], list(range(len(roots))))
+    grow([], list(range(len(vectors))))
     found.sort(key=lambda v: v.columns)
     return found
 

@@ -33,7 +33,9 @@ from typing import NoReturn, Sequence
 from . import linalg
 from .clusters import (
     ClusterMatrix,
+    _euler_row,
     _in_stability_domain,
+    _root_positions,
     cluster_violation,
     enumerate_clusters,
 )
@@ -168,7 +170,12 @@ def _rebuild(
 ) -> tuple[tuple[int, ...], Permutation, MixedCobinaryTree]:
     """The sum of the lifts, its first ranking, and the tree it realizes."""
     total = tuple(map(sum, zip(*lifts)))
-    (ranking,) = _tied_rankings(total, 1)
+    # A stable sort ranks ties by ascending index: _tied_rankings(total, 1)[0].
+    order = sorted(range(len(total)), key=total.__getitem__)
+    sigma = [0] * len(total)
+    for rank, i in enumerate(order, start=1):
+        sigma[i] = rank
+    ranking = tuple(sigma)
     return total, ranking, tree_from_permutation(ranking, eps)
 
 
@@ -177,12 +184,13 @@ def cluster_to_tree_work(
 ) -> BijectionWork:
     """Run the constructive correspondence and keep the work shown.
 
-    V^t E takes O(n^2): a column of E has at most three nonzero entries.
-    Each of its rows is lifted through f_lift and shifted to minimum 0 (a
-    cut indicator); the lifts are summed and the sum is ranked, ascending
-    index on ties, into the permutation that rebuilds the tree.  Edge k is
-    the one edge that crosses cut k, and V^t E C(T) = I is certified by
-    telescoping.
+    Each column is looked up in the per-sign-sequence table of almost
+    positive roots, which holds its row of V^t E and that row's lift through
+    f_lift shifted to minimum 0 (a cut indicator); a column outside the
+    table is no cluster's.  The lifts are summed and the sum is ranked,
+    ascending index on ties, into the permutation that rebuilds the tree.
+    Edge k is the one edge that crosses cut k, and V^t E C(T) = I is
+    certified by telescoping.
     """
     eps = as_sign_sequence(epsilon)
     n = len(eps)
@@ -193,9 +201,11 @@ def cluster_to_tree_work(
         return BijectionWork(eps, cluster, (), (), (1,), (1,), tree)
     if len(cluster.columns) != n - 1:
         raise ValueError(f"{n} nodes pair with clusters of {n - 1} columns")
-    vt_e = _times_euler(cluster.columns, eps)
-    lifts = tuple(map(f_lift, vt_e))
-    lifted = tuple(tuple(v - m for v in row) for row, m in zip(lifts, map(min, lifts)))
+    position = _root_positions(eps)
+    ats = [position.get(col) for col in cluster.columns]
+    if None in ats:  # not a cluster: no tree pairs with these columns
+        _name_failure(_times_euler(cluster.columns, eps))
+    vt_e, lifted = map(tuple, zip(*[_euler_row(eps, at) for at in ats]))
     total, ranking, tree = _rebuild(lifted, eps)
     triples = list(tree.edge_triples())
     crossing = [  # per lift, the first edge whose endpoints it tells apart

@@ -21,7 +21,6 @@ from typing import Sequence
 from . import linalg
 from .linalg import IntVector
 from .regions import c_matrix
-from .roots import Root
 from .trees import MixedCobinaryTree, SignSequence, as_sign_sequence
 
 
@@ -60,19 +59,6 @@ def _arrow_counts(eps: SignSequence) -> tuple[IntVector, IntVector]:
     right = (0, 0, *accumulate(int(s == -1) for s in eps[1:-1]))
     left = (0, 0, *accumulate(int(s == 1) for s in eps[1:-1]))
     return right, left
-
-
-def _root_euler(counts: tuple[IntVector, IntVector], a: Root, b: Root) -> int:
-    """a^t E b for two roots, in O(1) from the arrow counts of E.  For
-    positive roots, the vertices [p, q) the two intervals share minus the
-    arrows from a vertex of a to a vertex of b."""
-    right, left = counts
-    shared = max(0, min(a.q, b.q) - max(a.p, b.p))
-    lo, hi = max(a.p, b.p - 1), min(a.q - 1, b.q - 2)  # i -> i + 1
-    forward = right[hi + 1] - right[lo] if lo <= hi else 0
-    lo, hi = max(a.p - 1, b.p), min(a.q - 2, b.q - 1)  # i + 1 -> i
-    backward = left[hi + 1] - left[lo] if lo <= hi else 0
-    return a.sign * b.sign * (shared - forward - backward)
 
 
 def _path(eps: SignSequence, i: int, j: int) -> bool:

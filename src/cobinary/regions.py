@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import TiedCoordinates, VerificationFailed
-from .roots import Root, root_from_vector
+from .roots import _block_vector, root_from_vector
 from .trees import (
     MixedCobinaryTree,
     SignedEdge,
@@ -81,11 +81,13 @@ class CMatrix:
 
 def c_vector(tree: MixedCobinaryTree, k: int) -> tuple[int, ...]:
     """slope * (e_p + ... + e_{q-1}) for edge k."""
-    return Root(*tree.edge_triple(k)).vector(tree.n)
+    return _block_vector(tree.n, *tree.edge_triple(k))
 
 
 def c_matrix(tree: MixedCobinaryTree) -> CMatrix:
-    return CMatrix(tuple(Root(*t).vector(tree.n) for t in tree.edge_triples()))
+    """Column k is c_vector(tree, k), read straight off the tree's edge
+    triples, which the tree validated when it was built."""
+    return CMatrix(tuple(_block_vector(tree.n, *t) for t in tree.edge_triples()))
 
 
 def tree_from_c_matrix(

@@ -34,9 +34,7 @@ class Root:
         """Coordinates in Z^{n-1}."""
         if self.q > n:
             raise ValueError(f"root ({self.p},{self.q}) does not fit in n={n}")
-        return tuple(
-            self.sign if self.p <= i < self.q else 0 for i in range(1, n)
-        )
+        return _block_vector(n, self.p, self.q, self.sign)
 
     def __neg__(self) -> "Root":
         return Root(self.p, self.q, -self.sign)
@@ -78,4 +76,10 @@ def interval_vector(p: int, q: int, n: int) -> tuple[int, ...]:
     """e_p + ... + e_{q-1} in Z^{n-1}; the zero vector when p == q."""
     if not 1 <= p <= q <= n:
         raise ValueError(f"need 1 <= p <= q <= n, got ({p}, {q}), n={n}")
-    return tuple(1 if p <= i < q else 0 for i in range(1, n))
+    return _block_vector(n, p, q, 1)
+
+
+def _block_vector(n: int, p: int, q: int, value: int) -> tuple[int, ...]:
+    """value on coordinates p..q-1 of Z^{n-1} and 0 elsewhere, for
+    1 <= p <= q <= n that the caller has checked."""
+    return (0,) * (p - 1) + (value,) * (q - p) + (0,) * (n - q)

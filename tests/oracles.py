@@ -11,6 +11,7 @@ from cobinary import (
     CMatrix,
     ClusterMatrix,
     MixedCobinaryTree,
+    Root,
     almost_positive_roots,
     as_sign_sequence,
     c_matrix,
@@ -40,6 +41,19 @@ def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]
     return found
 
 
+def root_euler(counts: tuple[linalg.IntVector, linalg.IntVector], a: Root, b: Root) -> int:
+    """a^t E b for two roots, in O(1) from the arrow counts of E: for
+    positive roots, the vertices [p, q) the two intervals share minus the
+    arrows from a vertex of a to a vertex of b."""
+    right, left = counts
+    shared = max(0, min(a.q, b.q) - max(a.p, b.p))
+    lo, hi = max(a.p, b.p - 1), min(a.q - 1, b.q - 2)  # i -> i + 1
+    forward = right[hi + 1] - right[lo] if lo <= hi else 0
+    lo, hi = max(a.p - 1, b.p), min(a.q - 2, b.q - 1)  # i + 1 -> i
+    backward = left[hi + 1] - left[lo] if lo <= hi else 0
+    return a.sign * b.sign * (shared - forward - backward)
+
+
 def region_contains_by_gaps(
     tree: MixedCobinaryTree, x: Sequence, strict: bool = True
 ) -> bool:
@@ -57,6 +71,15 @@ def exchange_matrix_by_products(tree: MixedCobinaryTree) -> linalg.IntMatrix:
     cmat = c_matrix(tree)
     x = linalg.mat_sub(e, linalg.transpose(e))
     return linalg.mat_mul(linalg.mat_mul(cmat.columns, x), cmat.rows)
+
+
+def c_matrix_by_roots(tree: MixedCobinaryTree) -> CMatrix:
+    """The c-matrix with column k read off edge k as a Root, coordinate by
+    coordinate."""
+    roots = [Root(*t) for t in tree.edge_triples()]
+    return CMatrix(
+        tuple(tuple(r.sign if r.p <= i < r.q else 0 for i in range(1, tree.n)) for r in roots)
+    )
 
 
 def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:

@@ -9,7 +9,7 @@ from itertools import permutations as all_perms
 import pytest
 
 import cobinary as cb
-from cobinary import Root, linalg
+from cobinary import Root, clusters, exchange, linalg
 
 from conftest import (
     CLU_C_ROWS,
@@ -20,7 +20,7 @@ from conftest import (
     guarded,
     sha256_lines,
 )
-from oracles import enumerate_clusters_bruteforce
+from oracles import enumerate_clusters_bruteforce, root_euler
 
 RIGHT_CHAIN = (1, -1, -1, 1)  # three-vertex quiver with both arrows rightward
 
@@ -409,6 +409,21 @@ def test_stability_requires_a_positive_root(v):
     # was checked only once v^t E beta = 0, and a length error for (1, 0).
     with pytest.raises(cb.NotARoot, match="positive roots"):
         cb.stability_domain_contains((1, -1, -1, 1), Root(2, 4, -1), v)
+
+
+def test_compatibility_rows_match_the_euler_form_on_every_root_pair():
+    for n in range(2, 8):
+        for eps in all_epsilons(n):
+            counts = exchange._arrow_counts(eps)
+            roots = cb.almost_positive_roots(eps)
+            vectors = [r.vector(n) for r in roots]
+            assert list(clusters._root_positions(eps)) == vectors
+            for at, u in enumerate(roots):
+                row = clusters._compatibility_row(eps, at)
+                assert row >> len(roots) == 0
+                for b, v in enumerate(roots):
+                    rule = v.sign == -1 or root_euler(counts, u, v) >= 0
+                    assert bool(row >> b & 1) == rule, (eps, u, v)
 
 
 # ---------------------------------------------------------------------------

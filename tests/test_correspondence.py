@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary import clusters, correspondence, linalg, verify
+from cobinary import clusters, correspondence, exchange, linalg, verify
 
 from conftest import (
     CLU_C_ROWS,
@@ -33,6 +33,7 @@ from oracles import (
     mutate_c_columns,
     pairing_by_product,
     rankings_with_tie_breaks,
+    root_euler,
 )
 
 # ---------------------------------------------------------------------------
@@ -351,12 +352,12 @@ def test_telescoping_pairing_agrees_with_the_matrix_product():
 def test_interval_euler_form_is_the_matrix_euler_form():
     for n in range(2, 9):
         for eps in all_epsilons(n):
-            counts = clusters._arrow_counts(eps)
+            counts = exchange._arrow_counts(eps)
             roots = cb.almost_positive_roots(eps)
             vectors = [r.vector(n) for r in roots]
             for u, a in zip(vectors, roots):
                 for v, b in zip(vectors, roots):
-                    assert clusters._root_euler(counts, a, b) == cb.euler_form(eps, u, v)
+                    assert root_euler(counts, a, b) == cb.euler_form(eps, u, v)
 
 
 def test_cluster_violation_matches_the_matrix_route():
@@ -379,6 +380,29 @@ def test_cluster_violation_matches_the_matrix_route():
         assert cb.cluster_violation(cols, eps) == expected, (eps, cols)
         messages.add(expected if expected is None else expected.split(" ")[0])
     assert messages == {None, "expected", "column", "columns", "a"}
+
+
+def test_decode_table_is_the_euler_product_and_the_shifted_lift():
+    for n in range(2, 8):
+        for eps in all_epsilons(n):
+            vectors = [r.vector(n) for r in cb.almost_positive_roots(eps)]
+            rows = exchange._times_euler(vectors, eps)
+            for at, row in enumerate(rows):
+                lift = cb.f_lift(row)
+                expected = (row, tuple(x - min(lift) for x in lift))
+                assert clusters._euler_row(eps, at) == expected
+
+
+def test_rebuild_ranks_as_the_first_tied_ranking():
+    rng = random.Random(23)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        x = tuple(rng.randint(-2, 3) for _ in range(n))
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        total, ranking, tree = correspondence._rebuild((x,), eps)
+        assert total == x
+        assert ranking == correspondence._tied_rankings(x, 1)[0]
+        assert tree == cb.tree_from_permutation(ranking, eps)
 
 
 def test_tied_rankings_follow_every_tie_break_in_order():
@@ -597,6 +621,35 @@ PINNED_SHA256 = {
     "verify all":
         "85038967bb3b9730ade0ee8a2b558294989f6d4ee2e94141a700b6637eabf369",
 }
+
+
+def _decode_outcomes():
+    """Seeded square column sets, n = 2..5: each column an almost positive
+    root four times in five, else random entries in -2..2."""
+    rng = random.Random(31)
+    for _ in range(10_000):
+        n = rng.randint(2, 5)
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        pool = [r.vector(n) for r in cb.almost_positive_roots(eps)]
+        cols = tuple(
+            rng.choice(pool) if rng.random() < 0.8
+            else tuple(rng.randint(-2, 2) for _ in range(n - 1))
+            for _ in range(n - 1)
+        )
+        try:
+            work = cb.cluster_to_tree_work(cb.ClusterMatrix(cols), eps)
+            got = (work.tree.flat, work.vt_e_rows, work.lifted_rows, work.ranking)
+        except Exception as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        yield f"{eps} {cols} {got}"
+
+
+def test_decode_outcomes_are_pinned():
+    # Taken before the decoder read its columns from the per-sign-sequence
+    # table: a decoded tree with its work, or the exception and its message.
+    assert sha256_lines(_decode_outcomes()) == (
+        "c017573676b1bcdb20013496de040bfdf08e743b1cd306d28d688c324ae3abbb"
+    )
 
 
 def test_wall_stability_points_are_pinned():

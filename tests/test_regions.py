@@ -23,7 +23,7 @@ from conftest import (
     all_epsilons,
     sha256_lines,
 )
-from oracles import mutate_c_columns, region_contains_by_gaps
+from oracles import c_matrix_by_roots, mutate_c_columns, region_contains_by_gaps
 
 # ---------------------------------------------------------------------------
 # c-vectors and c-matrices
@@ -47,6 +47,15 @@ def test_c_vector_cluster_demo(cluster_demo_tree):
     )
     assert cb.c_vector(relabelled, 1) == (1, 1, 1, 0)
     assert cb.c_matrix(relabelled).rows == CLU_C_ROWS
+
+
+def test_c_matrix_and_c_vectors_match_the_root_oracle():
+    for n in range(1, 8):
+        for eps in all_epsilons(n):
+            for tree in cb.enumerate_trees(eps):
+                expected = c_matrix_by_roots(tree)
+                assert cb.c_matrix(tree) == expected
+                assert tuple(cb.c_vector(tree, k) for k in range(1, n)) == expected.columns
 
 
 def test_c_matrix_golden_pair(mutation_demo_tree):
