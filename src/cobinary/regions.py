@@ -34,6 +34,10 @@ from .trees import (
 
 RegionPoint = tuple[Fraction, ...]
 _EXACT_TYPES = frozenset((int, Fraction))
+# locate_tree compares floor(2**_KEY_BITS * x_i) before x_i.  A plain floor
+# would leave every coordinate of a point in [0, 1) tied on its integer
+# part, and a tied pair costs two Fraction comparisons instead of one.
+_KEY_BITS = 64
 
 
 def _rational(c) -> Fraction:
@@ -144,9 +148,11 @@ def _contains(tree: MixedCobinaryTree, x: Sequence, strict: bool = True) -> bool
 def rank_permutation(x: Sequence) -> tuple[int, ...]:
     """sigma with sigma(i) the position of x_i in increasing order.
 
+    x may hold any mutually comparable values; :func:`locate_tree` passes
+    the pairs (floor(2**64 * x_i), x_i), which sort exactly as x does.
     Raises TiedCoordinates when two coordinates are equal.
     """
-    order = sorted(range(len(x)), key=lambda i: x[i])
+    order = sorted(range(len(x)), key=x.__getitem__)
     for a, b in zip(order, order[1:]):
         if x[a] == x[b]:
             raise TiedCoordinates(
@@ -159,13 +165,30 @@ def rank_permutation(x: Sequence) -> tuple[int, ...]:
 
 
 def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
-    """The unique tree whose open region contains x."""
+    """The unique tree whose open region contains x.
+
+    The point is ranked and the tree certified on the pairs
+    (floor(2**64 * x_i), x_i).  The floor of an increasing map is monotone,
+    so these pairs compare exactly as the rationals x_i do and are equal
+    exactly when the x_i are.  Coordinates at least 2**-64 apart are told
+    apart by the integers alone; only closer ones compare their Fractions.
+    Nothing is rounded.
+    """
     point = as_region_point(x)
     if len(point) != len(epsilon):
         raise ValueError("point and sign sequence must have equal length")
-    tree = tree_from_permutation(rank_permutation(point), epsilon)
-    if not _contains(tree, point):
-        raise VerificationFailed(f"tree located for x={tuple(x)} misses x")
+    keyed = tuple(((c.numerator << _KEY_BITS) // c.denominator, c) for c in point)
+    tree = tree_from_permutation(rank_permutation(keyed), epsilon)
+    if not _contains(tree, keyed):
+        k, p, q, slope = next(
+            (k, p, q, slope)
+            for k, (p, q, slope) in enumerate(tree.edge_triples(), 1)
+            if slope * (point[q - 1] - point[p - 1]) <= 0
+        )
+        raise VerificationFailed(
+            f"tree located for x={tuple(x)} misses x: edge {k} (p={p}, q={q}, "
+            f"slope={slope}) has slope*(x_q - x_p) <= 0"
+        )
     return tree
 
 

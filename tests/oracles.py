@@ -13,6 +13,7 @@ from cobinary import (
     MixedCobinaryTree,
     Root,
     almost_positive_roots,
+    as_region_point,
     as_sign_sequence,
     c_matrix,
     euler_matrix,
@@ -20,7 +21,9 @@ from cobinary import (
     is_root_vector,
     linalg,
     projective_roots,
+    rank_permutation,
     root_from_vector,
+    tree_from_permutation,
 )
 from cobinary.regions import _moved_edges
 
@@ -61,6 +64,12 @@ def region_contains_by_gaps(
     on every edge (>= 0 when strict is False)."""
     gaps = [e.slope * (x[e.q - 1] - x[e.p - 1]) for e in tree.edges]
     return all(g > 0 if strict else g >= 0 for g in gaps)
+
+
+def locate_by_fractions(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
+    """The tree whose ranking is taken on the point's bare Fractions, without
+    locate_tree's certificate."""
+    return tree_from_permutation(rank_permutation(as_region_point(x)), epsilon)
 
 
 def exchange_matrix_by_products(tree: MixedCobinaryTree) -> linalg.IntMatrix:

@@ -23,7 +23,12 @@ from conftest import (
     all_epsilons,
     sha256_lines,
 )
-from oracles import c_matrix_by_roots, mutate_c_columns, region_contains_by_gaps
+from oracles import (
+    c_matrix_by_roots,
+    locate_by_fractions,
+    mutate_c_columns,
+    region_contains_by_gaps,
+)
 
 # ---------------------------------------------------------------------------
 # c-vectors and c-matrices
@@ -162,6 +167,17 @@ def test_located_tree_is_checked(monkeypatch):
         "cobinary.regions.tree_from_permutation",
         lambda sigma, eps: cb.initial_tree(eps),
     )
+    # The staircase has x_1 < x_2 on edge 1; this point has x_2 < x_1.
+    with pytest.raises(
+        cb.VerificationFailed, match=r"misses x: edge 1 \(p=1, q=2, slope=1\) "
+    ):
+        cb.locate_tree((2, 1, 5, 4, 3), CLU_EPS)
+
+
+def test_located_tree_is_checked_against_a_wrong_ranking(monkeypatch):
+    monkeypatch.setattr(
+        "cobinary.regions.rank_permutation", lambda x: tuple(range(1, len(x) + 1))
+    )
     with pytest.raises(cb.VerificationFailed, match="misses x"):
         cb.locate_tree((2, 1, 5, 4, 3), CLU_EPS)
 
@@ -169,6 +185,80 @@ def test_located_tree_is_checked(monkeypatch):
 def test_tied_coordinates_rejected():
     with pytest.raises(cb.TiedCoordinates):
         cb.locate_tree((1, 1, 2), (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "x, pair",
+    [((1, Fraction(2, 2), "3/3"), (1, 2)), ((Fraction(-1, 2), 5, "-2/4"), (1, 3))],
+    ids=repr,
+)
+def test_equal_rationals_written_differently_are_tied(x, pair):
+    message = f"coordinates {pair[0]} and {pair[1]} are equal; the point lies on a wall"
+    for locate in (cb.locate_tree, locate_by_fractions):
+        with pytest.raises(cb.TiedCoordinates) as caught:
+            locate(x, (1, -1, 1))
+        assert str(caught.value) == message
+
+
+def test_locate_matches_the_fraction_route_on_benchmark_like_points():
+    # Drawn as the benchmark's locate workload draws its points.
+    rng = random.Random(1414)
+    n = 256
+    eps = tuple(rng.choice((1, -1)) for _ in range(n))
+    tested = 0
+    while tested < 200:
+        x = tuple(
+            Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 1000))
+            for _ in range(n)
+        )
+        if len(set(x)) < n:
+            continue
+        tested += 1
+        assert cb.locate_tree(x, eps) == locate_by_fractions(x, eps)
+
+
+@st.composite
+def written_point(draw):
+    """A point whose coordinates are written as ints, Fractions or "a/b"
+    strings (not always in lowest terms).  The values are spread over
+    [-50, 50], or all lie in [0, 1) (one integer part), or all lie in
+    [0, 2**-70) (one integer part even after scaling by 2**64); repeated
+    values occur."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    scale = draw(st.sampled_from((None, 1, 2**70)))
+    if scale is None:
+        values = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    else:
+        values = st.builds(
+            lambda a, b: Fraction(a % b, b * scale),
+            st.integers(0, 10**6),
+            st.integers(1, 40),
+        )
+    coords = []
+    for value in draw(st.lists(values, min_size=n, max_size=n)):
+        form = draw(st.sampled_from(("int", "fraction", "string")))
+        if form == "int" and value.denominator == 1:
+            coords.append(value.numerator)
+        elif form == "string":
+            k = draw(st.integers(1, 3))
+            coords.append(f"{k * value.numerator}/{k * value.denominator}")
+        else:
+            coords.append(value)
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(coords), tuple(eps)
+
+
+@given(written_point())
+def test_locate_matches_the_fraction_route(case):
+    x, eps = case
+
+    def outcome(locate):
+        try:
+            return locate(x, eps)
+        except cb.TiedCoordinates as exc:
+            return str(exc)
+
+    assert outcome(cb.locate_tree) == outcome(locate_by_fractions)
 
 
 def test_region_needs_matching_length(fan_tree):
