@@ -15,7 +15,9 @@ and determines a classical c-matrix C by V^t E C = I.
 The stability domain of a positive root b collects the weight vectors v
 with v^t E b = 0 and v^t E b' <= 0 for every proper subroot b'; subroots
 of an interval are read off the signs at the interval's interior cut
-points.
+points.  Like every pairing of a row with a root in the library, the
+test reads a lift L of the row y = v^t E (its prefix sums, up to a
+shift): y meets e_a + ... + e_{b-1} as L[b-1] - L[a-1].
 """
 
 from __future__ import annotations
@@ -268,15 +270,16 @@ def stability_domain_contains(
     point = as_region_point(v)
     if len(point) != n - 1:
         raise ValueError(f"weight vector must have length {n - 1}, got {len(point)}")
-    return _in_stability_domain(eps, beta, _times_euler((point,), eps)[0])
+    if beta.q > n:
+        raise ValueError(f"root ({beta.p},{beta.q}) does not fit in n={n}")
+    lift = (0, *accumulate(_times_euler((point,), eps)[0]))
+    return _in_stability_domain(eps, beta, lift)
 
 
-def _in_stability_domain(eps: SignSequence, beta: Root, left: Sequence) -> bool:
-    """Whether left = v^t E lies in the stability domain of beta: left . beta
-    = 0 and left . beta' <= 0 on every proper subroot beta'."""
-    n = len(eps)
-    if linalg.dot(left, beta.vector(n)) != 0:
+def _in_stability_domain(eps: SignSequence, beta: Root, lift: Sequence) -> bool:
+    """Whether the row y with lift L (y_i = L[i] - L[i-1]) lies in the
+    stability domain of beta: y . beta = 0 and y . beta' <= 0 on every
+    proper subroot beta', each read as L[b-1] - L[a-1]."""
+    if lift[beta.q - 1] != lift[beta.p - 1]:
         return False
-    return all(
-        linalg.dot(left, sub.vector(n)) <= 0 for sub in subroots(eps, beta)
-    )
+    return all(lift[sub.q - 1] <= lift[sub.p - 1] for sub in subroots(eps, beta))

@@ -293,17 +293,13 @@ def wall_point(tree: MixedCobinaryTree, k: int) -> RegionPoint:
 def wall_stability_point(
     tree: MixedCobinaryTree, k: int
 ) -> tuple[RegionPoint, bool]:
-    """Wall point for edge k plus its stability verdict.
-
-    The image y of the point under f_map satisfies y . root(k) = 0 and
-    y . sub <= 0 on the subroots; equivalently the weight coordinates
-    (E^t)^{-1} y lie in the stability domain of |c_k|.  Their product with
-    E is y itself, so y goes straight into the domain test.
-    """
+    """Wall point x for edge k plus its stability verdict: whether the row
+    y = f_map(x) passes the stability test of |c_k| on y = v^t E, that is
+    y . root(k) = 0 and y . sub <= 0 on every subroot.  The heights x are a
+    lift of y, so they go straight into the test."""
     x = wall_point(tree, k)
     p, q, _ = tree.edge_triple(k)
-    ok = _in_stability_domain(tree.epsilon, Root(p, q, 1), f_map(x))
-    return x, ok
+    return x, _in_stability_domain(tree.epsilon, Root(p, q, 1), x)
 
 
 def bijection_report(epsilon: Sequence[int]) -> list[dict]:

@@ -34,7 +34,7 @@ from .trees import (
 
 RegionPoint = tuple[Fraction, ...]
 _EXACT_TYPES = frozenset((int, Fraction))
-# locate_tree compares floor(2**_KEY_BITS * x_i) before x_i.  A plain floor
+# _keys puts floor(2**_KEY_BITS * x_i) before x_i.  A plain floor
 # would leave every coordinate of a point in [0, 1) tied on its integer
 # part, and a tied pair costs two Fraction comparisons instead of one.
 _KEY_BITS = 64
@@ -131,17 +131,12 @@ def region_contains(
 def _contains(tree: MixedCobinaryTree, x: Sequence, strict: bool = True) -> bool:
     """region_contains on an exact point of the right length, tested by
     comparing the coordinates of each edge's lower and upper endpoints."""
-    # Most calls stop at the first edge or two, so the loop indexes the flat
-    # tuple directly rather than build an iterator over its triples.
-    flat = tree.flat
-    i, end = 0, len(flat)
-    while i < end:
-        low, high = x[flat[i] - 1], x[flat[i + 1] - 1]
-        if flat[i + 2] == -1:
+    for p, q, slope in tree.edge_triples():
+        low, high = x[p - 1], x[q - 1]
+        if slope == -1:
             low, high = high, low
         if high < low or (strict and high == low):
             return False
-        i += 3
     return True
 
 
@@ -164,20 +159,23 @@ def rank_permutation(x: Sequence) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
-    """The unique tree whose open region contains x.
-
-    The point is ranked and the tree certified on the pairs
-    (floor(2**64 * x_i), x_i).  The floor of an increasing map is monotone,
-    so these pairs compare exactly as the rationals x_i do and are equal
+def _keys(point: Sequence) -> tuple[tuple[int, Fraction], ...]:
+    """The pairs (floor(2**64 * x_i), x_i) of an exact point, the one key by
+    which rational coordinates are compared.  The floor of an increasing map
+    is monotone, so the pairs compare exactly as the x_i do and are equal
     exactly when the x_i are.  Coordinates at least 2**-64 apart are told
     apart by the integers alone; only closer ones compare their Fractions.
-    Nothing is rounded.
-    """
+    Nothing is rounded."""
+    return tuple(((c.numerator << _KEY_BITS) // c.denominator, c) for c in point)
+
+
+def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
+    """The unique tree whose open region contains x, ranked and certified on
+    the point's keys (:func:`_keys`)."""
     point = as_region_point(x)
     if len(point) != len(epsilon):
         raise ValueError("point and sign sequence must have equal length")
-    keyed = tuple(((c.numerator << _KEY_BITS) // c.denominator, c) for c in point)
+    keyed = _keys(point)
     tree = tree_from_permutation(rank_permutation(keyed), epsilon)
     if not _contains(tree, keyed):
         k, p, q, slope = next(
@@ -213,14 +211,6 @@ def _moved(
         elif upper == a and slot_name(sign_a, a, lower, False) == up_slot:
             up = (label, lower)
     return down, up
-
-
-def _moved_edges(
-    tree: MixedCobinaryTree, edge: SignedEdge
-) -> tuple[SignedEdge | None, SignedEdge | None]:
-    """The edges that mutation at `edge` moves, as (down, up)."""
-    (down, _), (up, _) = _moved(tree, edge.lower, edge.upper)
-    return (tree.edge(down) if down else None, tree.edge(up) if up else None)
 
 
 def mutate(tree: MixedCobinaryTree, k: int) -> MixedCobinaryTree:

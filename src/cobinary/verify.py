@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Callable, Sequence
 
 from . import linalg
@@ -25,7 +25,7 @@ from .correspondence import (
     wall_stability_point,
 )
 from .exchange import exchange_matrix, fz_mutate, x_matrix
-from .regions import _contains, c_matrix, locate_tree, mutate, region_contains
+from .regions import _contains, _keys, c_matrix, locate_tree, mutate, region_contains
 from .roots import interval_vector
 from .trees import (
     EdgeTriple,
@@ -159,8 +159,9 @@ def _edge_masks(trees: Sequence[MixedCobinaryTree]) -> dict[EdgeTriple, int]:
 
 
 def _trees_missing(masks: dict[EdgeTriple, int], x: Sequence) -> int:
-    """Bitmask of the trees whose open region misses x, a point with
-    distinct coordinates: those with an edge whose slope disagrees with x."""
+    """Bitmask of the trees whose open region misses a point with distinct
+    coordinates, given as x or as its keys (regions._keys): those with an
+    edge whose slope disagrees with x."""
     out = 0
     for q in range(2, len(x) + 1):
         xq = x[q - 1]
@@ -185,15 +186,12 @@ def suite_region_partition(eps, n_max, samples, seed) -> SuiteResult:
         if len(set(x)) < n:
             continue
         tested += 1
-        # Regions are cones: the integer point scale * x lies in the same ones.
-        scale = lcm(*(c.denominator for c in x))
-        scaled = tuple(c.numerator * (scale // c.denominator) for c in x)
-        inside = every & ~_trees_missing(masks, scaled)
+        inside = every & ~_trees_missing(masks, _keys(x))
         # One bit set: the region of exactly one tree holds x.
         ok = ok and inside != 0 and inside & (inside - 1) == 0
         if ok:
             tree = trees[inside.bit_length() - 1]
-            ok = locate_tree(x, eps) == tree and region_contains(tree, scaled)
+            ok = locate_tree(x, eps) == tree and region_contains(tree, x)
     return SuiteResult(
         "region-partition", ok, f"samples={samples} seed={seed}"
     )
@@ -230,8 +228,6 @@ def _gamma_table_holds(eps) -> bool:
 
 def _sign_cases_hold(tree: MixedCobinaryTree) -> bool:
     """Entry (k, j) of the principal part obeys the shared-endpoint laws."""
-    if tree.n == 1:
-        return True
     b = exchange_matrix(tree).b_rows
     edges = tree.edges
     for k, ek in enumerate(edges):

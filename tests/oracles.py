@@ -4,7 +4,9 @@ public API."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 from typing import Iterator, Sequence
 
 from cobinary import (
@@ -12,6 +14,7 @@ from cobinary import (
     ClusterMatrix,
     MixedCobinaryTree,
     Root,
+    SignedEdge,
     almost_positive_roots,
     as_region_point,
     as_sign_sequence,
@@ -23,9 +26,10 @@ from cobinary import (
     projective_roots,
     rank_permutation,
     root_from_vector,
+    subroots,
     tree_from_permutation,
 )
-from cobinary.regions import _moved_edges
+from cobinary.regions import _moved
 
 
 def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]:
@@ -89,6 +93,14 @@ def c_matrix_by_roots(tree: MixedCobinaryTree) -> CMatrix:
     return CMatrix(
         tuple(tuple(r.sign if r.p <= i < r.q else 0 for i in range(1, tree.n)) for r in roots)
     )
+
+
+def _moved_edges(
+    tree: MixedCobinaryTree, edge: SignedEdge
+) -> tuple[SignedEdge | None, SignedEdge | None]:
+    """The edges that mutation at `edge` moves, as (down, up)."""
+    (down, _), (up, _) = _moved(tree, edge.lower, edge.upper)
+    return (tree.edge(down) if down else None, tree.edge(up) if up else None)
 
 
 def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:
@@ -167,3 +179,26 @@ def rankings_with_tie_breaks(x: Sequence) -> Iterator[tuple[int, ...]]:
                 sigma[i] = rank
                 rank += 1
         yield tuple(sigma)
+
+
+def stability_by_products(epsilon: Sequence[int], beta: Root, v: Sequence) -> bool:
+    """The stability-domain test as dense products: v^t E from the Euler
+    matrix, then its dot product with beta and with each subroot's vector."""
+    n = len(epsilon)
+    left = linalg.vec_mat(v, euler_matrix(epsilon))
+    if linalg.dot(left, beta.vector(n)) != 0:
+        return False
+    return all(linalg.dot(left, sub.vector(n)) <= 0 for sub in subroots(epsilon, beta))
+
+
+def missing_by_lcm(masks: dict, x: Sequence[Fraction]) -> int:
+    """The trees whose open region misses x, found on the integer point
+    lcm(denominators) * x, which lies in the same regions because they are
+    cones."""
+    scale = lcm(*(c.denominator for c in x))
+    scaled = [c.numerator * (scale // c.denominator) for c in x]
+    out = 0
+    for (p, q, slope), mask in masks.items():
+        if slope * (scaled[q - 1] - scaled[p - 1]) <= 0:
+            out |= mask
+    return out

@@ -20,7 +20,7 @@ from conftest import (
     guarded,
     sha256_lines,
 )
-from oracles import enumerate_clusters_bruteforce, root_euler
+from oracles import enumerate_clusters_bruteforce, root_euler, stability_by_products
 
 RIGHT_CHAIN = (1, -1, -1, 1)  # three-vertex quiver with both arrows rightward
 
@@ -409,6 +409,29 @@ def test_stability_requires_a_positive_root(v):
     # was checked only once v^t E beta = 0, and a length error for (1, 0).
     with pytest.raises(cb.NotARoot, match="positive roots"):
         cb.stability_domain_contains((1, -1, -1, 1), Root(2, 4, -1), v)
+
+
+def test_stability_on_lifts_matches_the_dense_products():
+    # Every eps with n <= 6 and every positive root, against seeded int and
+    # Fraction v with v^t E = y; half of the y vanish on beta, so the v lie
+    # on its hyperplane and the subroot inequalities decide.
+    rng = random.Random(15)
+    verdicts = []
+    for n in range(2, 7):
+        for eps in all_epsilons(n):
+            inv = cb.euler_inverse(eps)
+            for beta in cb.positive_roots(n):
+                for trial in range(8):
+                    y = [rng.randint(-2, 2) for _ in range(n - 1)]
+                    if trial % 2:
+                        y = [Fraction(a, rng.randint(1, 3)) for a in y]
+                    if trial >= 4:
+                        y[beta.q - 2] -= sum(y[beta.p - 1 : beta.q - 1])
+                    v = linalg.vec_mat(y, inv)
+                    verdict = cb.stability_domain_contains(eps, beta, v)
+                    assert verdict == stability_by_products(eps, beta, v), (eps, beta, v)
+                    verdicts.append(verdict)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def test_compatibility_rows_match_the_euler_form_on_every_root_pair():

@@ -34,6 +34,7 @@ from oracles import (
     pairing_by_product,
     rankings_with_tie_breaks,
     root_euler,
+    stability_by_products,
 )
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,21 @@ def test_wall_points_pass_stability_small():
                     assert x[edge.p - 1] == x[edge.q - 1]
                     assert cb.region_contains(tree, x, strict=False)
                     assert not cb.region_contains(tree, x, strict=True)
+
+
+def test_wall_verdicts_match_the_dense_stability_products():
+    # The wall heights go into the stability test as the lift of y = F(x);
+    # the oracle takes the weight vector v with v^t E = y instead.
+    for n in range(2, 7):
+        for eps in all_epsilons(n):
+            inv = cb.euler_inverse(eps)
+            for tree in cb.enumerate_trees(eps):
+                for k in range(1, n):
+                    x, stable = cb.wall_stability_point(tree, k)
+                    assert {c.denominator for c in x} == {1}  # integer levels
+                    p, q, _ = tree.edge_triple(k)
+                    v = linalg.vec_mat(cb.f_map(tuple(map(int, x))), inv)
+                    assert stable == stability_by_products(eps, cb.Root(p, q), v)
 
 
 def test_staircase_wall_equation_is_exact():

@@ -50,3 +50,25 @@ def test_library_has_no_floating_point():
             ):
                 found.append(f"{path.name}:{node.lineno} {node.func.id}() call")
     assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # A deletion takes its imports with it.  __init__.py imports in order to
+    # re-export, so it is exempt.
+    sources = sorted(Path(cb.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        module = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []

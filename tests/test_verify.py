@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 import cobinary as cb
-from cobinary import verify
+from cobinary import regions, verify
 from cobinary.trees import _tree_from_flat
+
+from oracles import missing_by_lcm
 
 
 @pytest.mark.parametrize("samples", [0, -1])
@@ -85,3 +87,22 @@ def test_edge_masks_give_the_trees_whose_region_holds_a_point():
                 inside = [t for i, t in enumerate(trees) if not missing >> i & 1]
                 assert inside == [t for t in trees if cb.region_contains(t, x)]
                 assert len(inside) == 1
+
+
+def test_trees_missing_on_keys_matches_the_lcm_scaled_point():
+    # Seeded points with negative non-integer coordinates; in half of them
+    # two coordinates are closer than 2**-64, so their keys share the integer.
+    rng = random.Random(15)
+    close = (Fraction(1, 2**70), Fraction(-1, 2**64 + 1), Fraction(3, 2**66))
+    for n in range(1, 7):
+        for eps in cb.sign_sequences(n):
+            masks = verify._edge_masks(cb.enumerate_trees(eps))
+            for _ in range(20):
+                x = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 1000)) for _ in range(n)]
+                if n > 1 and rng.random() < 0.5:
+                    i, j = rng.sample(range(n), 2)
+                    x[j] = x[i] + rng.choice(close)
+                if len(set(x)) < n:
+                    continue
+                missing = verify._trees_missing(masks, regions._keys(x))
+                assert missing == missing_by_lcm(masks, x), (eps, x)
