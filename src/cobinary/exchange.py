@@ -159,17 +159,17 @@ def fz_mutate(btilde: ExchangeMatrix, k: int) -> ExchangeMatrix:
     m = btilde.size
     if not 1 <= k <= m:
         raise IndexError(f"direction {k} out of range 1..{m}")
-    stacked = [list(row) for row in btilde.b_rows + btilde.c_rows]
-    pivot_row = btilde.b_rows[k - 1]
+    col = k - 1
+    pivot_row = btilde.b_rows[col]
     out = []
-    for i, row in enumerate(stacked):
-        new_row = []
-        for j in range(m):
-            if i == k - 1 or j == k - 1:
-                new_row.append(-row[j])
-            elif row[k - 1] * pivot_row[j] > 0:
-                new_row.append(row[j] + row[k - 1] * abs(pivot_row[j]))
-            else:
-                new_row.append(row[j])
-        out.append(tuple(new_row))
+    for i, row in enumerate(btilde.b_rows + btilde.c_rows):
+        bik = row[col]
+        if i == col:
+            out.append(tuple(-x for x in row))
+        elif bik == 0:
+            out.append(row)  # FZ changes no entry of a row with b_ik = 0
+        else:
+            new_row = [x + bik * abs(y) if bik * y > 0 else x for x, y in zip(row, pivot_row)]
+            new_row[col] = -bik  # column k flips sign
+            out.append(tuple(new_row))
     return ExchangeMatrix(tuple(out[:m]), tuple(out[m:]))

@@ -11,6 +11,8 @@ O(n^3) integer operations.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import NonIntegralResult, SingularV
@@ -34,8 +36,8 @@ def identity(n: int) -> IntMatrix:
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    m = tuple(as_ints(row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
+    m = tuple(map(as_ints, rows))
+    if len(set(map(len, m))) > 1:
         raise ValueError("ragged matrix")
     return m
 
@@ -132,7 +134,5 @@ def inverse_integer(m: IntMatrix) -> IntMatrix:
 
 
 def is_skew_symmetric(m: IntMatrix) -> bool:
-    n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == -m[j][i] for i in range(n) for j in range(i, n)
-    )
+    """Whether m is square and m + m^t is zero."""
+    return set(map(len, m)) <= {len(m)} and not any(map(add, chain(*m), chain(*zip(*m))))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .clusters import classical_c_matrix, enumerate_clusters
@@ -105,10 +105,23 @@ def _walls(eps, n_max, samples, rng) -> list[tuple[MixedCobinaryTree, int]]:
     ]
 
 
-def _theorem2_holds(tree: MixedCobinaryTree, k: int) -> bool:
-    left = exchange_matrix(mutate(tree, k))
-    right = fz_mutate(exchange_matrix(tree), k)
-    return left == right
+def _by_tree(
+    walls: Sequence[tuple[MixedCobinaryTree, int]],
+) -> Iterable[tuple[MixedCobinaryTree, set[int]]]:
+    """The distinct walls as (tree, set of edges), one entry per labelled
+    tree: keyed by tree.flat, since tree == ignores edge labels and edge k
+    does not."""
+    groups: dict[tuple[int, ...], tuple[MixedCobinaryTree, set[int]]] = {}
+    for tree, k in walls:
+        groups.setdefault(tree.flat, (tree, set()))[1].add(k)
+    return groups.values()
+
+
+def _theorem2_holds(tree: MixedCobinaryTree, edges: set[int]) -> bool:
+    """Mutating the tree at each edge k and its exchange matrix in
+    direction k agree."""
+    ex = exchange_matrix(tree)
+    return all(exchange_matrix(mutate(tree, k)) == fz_mutate(ex, k) for k in edges)
 
 
 def suite_theorem2(eps, n_max, samples, seed) -> SuiteResult:
@@ -116,7 +129,7 @@ def suite_theorem2(eps, n_max, samples, seed) -> SuiteResult:
     if n == 1:
         return SuiteResult("theorem2", True, "checked=0 (no edges)")
     walls = _walls(eps, n_max, samples, _rng(seed, "theorem2"))
-    ok = all(_theorem2_holds(tree, k) for tree, k in walls)
+    ok = all(_theorem2_holds(tree, edges) for tree, edges in _by_tree(walls))
     mode = "exhaustive" if n <= n_max else "sampled"
     return SuiteResult("theorem2", ok, f"mode={mode} checked={len(walls)}")
 
@@ -201,7 +214,9 @@ def suite_wall_stability(eps, n_max, samples, seed) -> SuiteResult:
     if len(eps) == 1:
         return SuiteResult("wall-stability", True, "checked=0 (no walls)")
     walls = _walls(eps, n_max, samples, _rng(seed, "wall-stability"))
-    ok = all(wall_stability_point(tree, k)[1] for tree, k in walls)
+    ok = all(
+        wall_stability_point(tree, k)[1] for tree, edges in _by_tree(walls) for k in edges
+    )
     return SuiteResult("wall-stability", ok, f"checked={len(walls)}")
 
 
@@ -258,10 +273,11 @@ def suite_properties(eps, n_max, samples, seed) -> SuiteResult:
     trees = enumerate_trees(eps) if n <= n_max else None
     if trees is None:
         rng = _rng(seed, "properties")
-        trees = [
+        drawn = (
             tree_from_permutation(_random_permutation(rng, n), eps)
             for _ in range(min(samples, 200))
-        ]
+        )
+        trees = list({tree.flat: tree for tree in drawn}.values())  # each once
     involution = all(
         mutate(mutate(t, k), k) == t for t in trees for k in range(1, n)
     )

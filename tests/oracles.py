@@ -12,6 +12,7 @@ from typing import Iterator, Sequence
 from cobinary import (
     CMatrix,
     ClusterMatrix,
+    ExchangeMatrix,
     MixedCobinaryTree,
     Root,
     SignedEdge,
@@ -84,6 +85,27 @@ def exchange_matrix_by_products(tree: MixedCobinaryTree) -> linalg.IntMatrix:
     cmat = c_matrix(tree)
     x = linalg.mat_sub(e, linalg.transpose(e))
     return linalg.mat_mul(linalg.mat_mul(cmat.columns, x), cmat.rows)
+
+
+def fz_mutate_dense(btilde: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Fomin-Zelevinsky mutation entry by entry over the whole stacked
+    matrix: entries in row or column k flip sign, and entry (i, j) elsewhere
+    gains b_ik * |b_kj| when b_ik and b_kj share a sign."""
+    m = btilde.size
+    stacked = btilde.b_rows + btilde.c_rows
+    pivot_row = btilde.b_rows[k - 1]
+    out = []
+    for i, row in enumerate(stacked):
+        new_row = []
+        for j in range(m):
+            if i == k - 1 or j == k - 1:
+                new_row.append(-row[j])
+            elif row[k - 1] * pivot_row[j] > 0:
+                new_row.append(row[j] + row[k - 1] * abs(pivot_row[j]))
+            else:
+                new_row.append(row[j])
+        out.append(tuple(new_row))
+    return ExchangeMatrix(tuple(out[:m]), tuple(out[m:]))
 
 
 def c_matrix_by_roots(tree: MixedCobinaryTree) -> CMatrix:

@@ -186,12 +186,15 @@ def test_verify_all_report_and_exit_code():
 
 
 # sha256 of the `verify all` stdout: at n=6 every suite runs exhaustively,
-# at n=7 with --n-max 2 the sampled branches run.
+# at n=7 with --n-max 2 the sampled branches run, and at n=9 (alternating
+# signs) the default run samples.
 VERIFY_SHA256 = {
     ("--epsilon", "1,1,-1,-1,1,-1"):
         "6adfc2d41e89fe4fddceaf60e86e3a726082ce385cb8a4a2090ab006ad4bb52a",
     ("--epsilon", "-1,1,1,-1,-1,1,-1", "--n-max", "2", "--samples", "40"):
         "c0fb4d06bfe25dbc633d16ce274ef6be03db13f34e234816cd48604ac95c6a59",
+    ("--epsilon", "1,-1,1,-1,1,-1,1,-1,1"):
+        "c8a51dcbfec8977ae6cbb6466251bd4f176ab18d0beb756795a704a10e046d63",
 }
 
 

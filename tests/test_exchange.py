@@ -21,7 +21,7 @@ from conftest import (
     MUT_K,
     all_epsilons,
 )
-from oracles import exchange_matrix_by_products
+from oracles import exchange_matrix_by_products, fz_mutate_dense
 
 # ---------------------------------------------------------------------------
 # Euler and X matrices
@@ -203,6 +203,80 @@ def test_fz_direction_out_of_range(mutation_demo_tree):
         cb.fz_mutate(ex, 0)
     with pytest.raises(IndexError):
         cb.fz_mutate(ex, 5)
+
+
+def test_fz_mutate_matches_the_dense_oracle_on_every_wall():
+    for n in range(2, 7):
+        for eps in all_epsilons(n):
+            for tree in cb.enumerate_trees(eps):
+                ex = cb.exchange_matrix(tree)
+                for k in range(1, n):
+                    assert cb.fz_mutate(ex, k) == fz_mutate_dense(ex, k), (tree, k)
+
+
+def _random_exchange_matrix(rng: random.Random, m: int, k: int) -> cb.ExchangeMatrix:
+    """Skew-symmetric B and integer C with entries in -3..3; in some draws
+    row and column k of B, column k of C, or both are zero."""
+    b = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            b[i][j] = rng.randint(-3, 3)
+            b[j][i] = -b[i][j]
+    c = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+    zero_b, zero_c = rng.choice(((False, False), (True, False), (False, True), (True, True)))
+    for i in range(m):
+        if zero_b:
+            b[k - 1][i] = b[i][k - 1] = 0
+        if zero_c:
+            c[i][k - 1] = 0
+    return cb.ExchangeMatrix(b, c)
+
+
+def test_fz_mutate_matches_the_dense_oracle_on_random_matrices():
+    rng = random.Random(16)
+    zero_rows = 0
+    for _ in range(3000):
+        m = rng.randint(1, 6)
+        k = rng.randint(1, m)
+        ex = _random_exchange_matrix(rng, m, k)
+        zero_rows += sum(row[k - 1] == 0 for row in ex.b_rows + ex.c_rows)
+        assert cb.fz_mutate(ex, k) == fz_mutate_dense(ex, k), (ex, k)
+    assert zero_rows > 3000  # many rows take the pass-through branch
+
+
+# One fault per row, with the ValueError message it raises.
+EXCHANGE_MATRIX_ERRORS = {
+    "float entry in B": ((((0, 1.5), (-1, 0)), ((1, 0), (0, 1))), "expected an integer, got 1.5"),
+    "bool entry in B": ((((0, True), (-1, 0)), ((1, 0), (0, 1))), "expected an integer, got True"),
+    "float entry in C": ((((0, 1), (-1, 0)), ((1, 0), (0, 2.0))), "expected an integer, got 2.0"),
+    "ragged B": ((((0, 1), (-1,)), ((1, 0), (0, 1))), "ragged matrix"),
+    "ragged C": ((((0, 1), (-1, 0)), ((1, 0), (0,))), "ragged matrix"),
+    "non-skew B": ((((0, 1), (1, 0)), ((1, 0), (0, 1))), "principal part must be skew-symmetric"),
+    "nonzero diagonal in B": ((((1, 0), (0, 0)), ((1, 0), (0, 1))), "principal part must be skew-symmetric"),
+    "non-square B": ((((0, 0, 0), (0, 0, 0)), ((1, 0), (0, 1))), "principal part must be skew-symmetric"),
+    "C with too few rows": ((((0, 1), (-1, 0)), ((1, 0),)), "bottom block must be square of the same size"),
+    "C with too many columns": (
+        (((0, 1), (-1, 0)), ((1, 0, 0), (0, 1, 0))),
+        "bottom block must be square of the same size",
+    ),
+    "C without B": (((), ((1,),)), "bottom block must be square of the same size"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXCHANGE_MATRIX_ERRORS))
+def test_exchange_matrix_errors_are_pinned(case):
+    (b, c), message = EXCHANGE_MATRIX_ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        cb.ExchangeMatrix(b, c)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_exchange_matrix_reads_rows_as_int_tuples():
+    ex = cb.ExchangeMatrix([[0, -1], [1, 0]], [[1, 0], [1, 1]])
+    assert ex.b_rows == ((0, -1), (1, 0))
+    assert ex.c_rows == ((1, 0), (1, 1))
+    assert cb.ExchangeMatrix((), ()).size == 0
 
 
 def test_exchange_matrix_requires_skew_principal_part():

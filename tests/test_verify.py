@@ -1,5 +1,6 @@
-"""The verification entry point's own argument checks, and the
-region-partition suite against faulty enumerations."""
+"""The verification entry point's own argument checks, the region-partition
+suite against faulty enumerations, and the sampled suites' one check per
+distinct wall or tree against faulty library functions."""
 
 from __future__ import annotations
 
@@ -106,3 +107,133 @@ def test_trees_missing_on_keys_matches_the_lcm_scaled_point():
                     continue
                 missing = verify._trees_missing(masks, regions._keys(x))
                 assert missing == missing_by_lcm(masks, x), (eps, x)
+
+
+# Sampled (n=7 above n_max=6) and exhaustive (n=5) runs of the suites that
+# read each drawn wall or tree once.
+DRAW_CASES = [((1, -1, 1, -1, 1, -1, 1), 6), ((1, -1, -1, 1, -1), 6)]
+
+
+def _record_last_drawn(monkeypatch) -> dict:
+    """Wrap the draw sources so that last["tree"] is the suite's last draw:
+    the last sampled tree, or the last tree of the enumeration."""
+    last = {}
+    for name in ("tree_from_permutation", "enumerate_trees"):
+        real = getattr(verify, name)
+
+        def recorded(*args, real=real):
+            out = real(*args)
+            last["tree"] = out if isinstance(out, cb.MixedCobinaryTree) else out[-1]
+            return out
+
+        monkeypatch.setattr(verify, name, recorded)
+    return last
+
+
+def _wrong_fz_mutate(last):
+    real = verify.fz_mutate
+
+    def wrong(ex, k):  # leaves the last drawn tree's matrix unmutated
+        return ex if ex == cb.exchange_matrix(last["tree"]) else real(ex, k)
+
+    return wrong
+
+
+def _wrong_exchange_matrix(last):
+    real = verify.exchange_matrix
+
+    def wrong(tree):  # negates B for the last drawn tree only
+        ex = real(tree)
+        if tree.flat != last["tree"].flat:
+            return ex
+        return cb.ExchangeMatrix(tuple(tuple(-x for x in row) for row in ex.b_rows), ex.c_rows)
+
+    return wrong
+
+
+def _wrong_wall_stability_point(last):
+    real = verify.wall_stability_point
+
+    def wrong(tree, k):  # rejects every wall of the last drawn tree
+        x, good = real(tree, k)
+        return x, good and tree.flat != last["tree"].flat
+
+    return wrong
+
+
+FAULTS = [
+    ("fz_mutate", _wrong_fz_mutate, verify.suite_theorem2),
+    ("exchange_matrix", _wrong_exchange_matrix, verify.suite_theorem2),
+    ("exchange_matrix", _wrong_exchange_matrix, verify.suite_properties),
+    ("wall_stability_point", _wrong_wall_stability_point, verify.suite_wall_stability),
+]
+
+
+@pytest.mark.parametrize("eps, n_max", DRAW_CASES)
+@pytest.mark.parametrize(
+    "name, fault, suite", FAULTS, ids=[f"{f[0]}-{f[2].__name__}" for f in FAULTS]
+)
+def test_a_fault_on_the_last_draw_fails_the_suite(monkeypatch, eps, n_max, name, fault, suite):
+    last = _record_last_drawn(monkeypatch)
+    assert suite(eps, n_max, 1000, 0).passed
+    monkeypatch.setattr(verify, name, fault(last))
+    result = suite(eps, n_max, 1000, 0)
+    assert " FAIL" in result.line(), result.line()
+
+
+def test_sampled_theorem2_checks_each_distinct_wall_once(monkeypatch):
+    eps = (1, -1, 1, -1, 1, -1, 1)
+    walls = verify._walls(eps, 6, 1000, verify._rng(0, "theorem2"))
+    trees = {tree.flat for tree, _ in walls}
+    distinct = {(tree.flat, k) for tree, k in walls}
+    assert len(distinct) < len(walls)  # the draws repeat walls
+    calls = {"exchange_matrix": 0, "fz_mutate": 0}
+    for name in calls:
+        real = getattr(verify, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    result = verify.suite_theorem2(eps, 6, 1000, 0)
+    assert result.line() == "suite theorem2: pass (mode=sampled checked=1000)"
+    assert calls["exchange_matrix"] <= len(trees) + len(distinct)
+    assert calls["fz_mutate"] == len(distinct)
+
+
+@pytest.mark.parametrize(
+    "name, fault, suite", [FAULTS[1], FAULTS[3]], ids=["theorem2", "wall-stability"]
+)
+def test_each_labelling_of_a_tree_is_checked(monkeypatch, name, fault, suite):
+    # Two labellings of one tree are ==, but edge k is not the same edge in
+    # both, so a fault on the second labelling alone must fail the suite.
+    eps = (1, -1, 1, 1, -1)
+    tree = cb.enumerate_trees(eps)[7]
+    swapped = tree.relabelled(list(tree.edge_triples())[::-1])
+    assert swapped == tree and swapped.flat != tree.flat
+    walls = [(t, k) for t in (tree, swapped) for k in range(1, 5)]
+    monkeypatch.setattr(verify, "_walls", lambda *args: walls)
+    assert suite(eps, 6, 1000, 0).passed
+    monkeypatch.setattr(verify, name, fault({"tree": swapped}))
+    assert not suite(eps, 6, 1000, 0).passed
+
+
+def test_sampled_properties_checks_each_drawn_tree_once(monkeypatch):
+    drawn, checked = [], []
+    real_draw, real_matrix = verify.tree_from_permutation, verify.exchange_matrix
+
+    def draw(sigma, eps):
+        tree = real_draw(sigma, eps)
+        drawn.append(tree.flat)
+        return tree
+
+    def matrix(tree):
+        checked.append(tree.flat)
+        return real_matrix(tree)
+
+    monkeypatch.setattr(verify, "tree_from_permutation", draw)
+    monkeypatch.setattr(verify, "exchange_matrix", matrix)
+    assert verify.suite_properties((1, -1, 1, -1, 1, -1, 1), 6, 1000, 0).passed
+    assert len(drawn) == 200 and len(set(drawn)) < 200
+    assert sorted(checked) == sorted(set(drawn))
