@@ -14,8 +14,11 @@ Two facts drive everything in this module:
 * The edge slopes order the nodes by height, and every linear extension of
   that order realizes the tree.  Conversely each permutation of heights is
   realized by exactly one tree, and the reconstruction is effective:
-  insert the nodes from the lowest up, tracking where the open parent
-  slots sit relative to the vertical walls rising from the fork-up nodes.
+  insert the nodes from the lowest up on a linked list of the walls that
+  cross the current height (the vertical walls hanging from the fork-down
+  nodes not yet placed and rising from the fork-up nodes already placed).
+  Each cell between two walls holds one open parent slot, so the pass in
+  height order places each node in O(1).
 
 * For a fixed sign sequence there are Catalan-many trees, generated by a
   recursion on the rightmost node: its removal splits the tree into an
@@ -285,59 +288,92 @@ def _tree_from_triples(
 # ---------------------------------------------------------------------------
 
 
-def _find(parent: list[int], v: int) -> int:
-    """The root of v in a union-find forest, halving the path on the way."""
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
 def tree_from_permutation(
     sigma: Sequence[int], epsilon: Sequence[int]
 ) -> MixedCobinaryTree:
     """The unique tree realized by placing node i at height sigma(i).
 
-    Inserts the nodes from the lowest up.  The fork-down nodes not yet
-    placed cut 1..n into segments, and each segment holds the partial tree
-    on its placed nodes: the left-to-right list of open parent slots (by
-    owning node) and the sorted positions of its walls.  A fork-up node k
-    attaches its child edge to the one open parent slot between the walls
-    bracketing position k, and opens a parent slot on each side of its own
-    wall.  A fork-down node k joins the segments on its left and right: its
-    children take the rightmost open parent slot on the left and the
-    leftmost on the right, and its own parent slot opens between them.
+    Inserts the nodes from the lowest up on a doubly linked list of the
+    walls that cross the current height: the fork-down nodes not yet
+    placed, the fork-up nodes already placed, and sentinels 0 and n + 1.
+    Each cell between two walls holds one open parent slot, and owner[w]
+    names the node owning the cell right of wall w (0 while it is empty).
+    A fork-down node k unlinks itself: its children own the cells on either
+    side, and it owns the merged cell.  A fork-up node k links itself after
+    its left wall w: its child owns the cell it splits, and it owns both
+    halves.  A first scan finds each w by two monotone stacks, for the
+    nearest higher fork-down and the nearest lower fork-up node left of k.
     """
     eps = as_sign_sequence(epsilon)
     perm = as_permutation(sigma)
     n = len(perm)
     if n != len(eps):
         raise ValueError("permutation and sign sequence must have equal length")
-    # Union-find onto the first unplaced fork-down position >= v (or n + 1),
-    # which names the segment holding v.
-    cut = [v + 1 if 1 <= v <= n and eps[v - 1] == -1 else v for v in range(n + 2)]
-    segments = {v: ([], []) for v in range(1, n + 2) if cut[v] == v}
-    triples: list[EdgeTriple] = []
-    for k in sorted(range(1, n + 1), key=lambda v: perm[v - 1]):
-        if eps[k - 1] == 1:
-            slots_l, walls_l = segments.pop(k)
-            cut[k] = k + 1
-            slots, walls = segments[_find(cut, k)]
-            if slots_l:
-                triples.append((slots_l.pop(), k, 1))
-            if slots:
-                triples.append((k, slots[0], -1))
-            slots[0:1] = slots_l + [k]
-            walls[0:0] = walls_l
+    # The scan: the sentinel 0 heads both stacks, at height n + 1 among the
+    # fork-down nodes (kept negated, so that the keys rise) and at 0 among
+    # the fork-up nodes.  It also links the fork-down nodes between 0 and n + 1.
+    order = [0] * n
+    left = [0] * (n + 1)
+    prv = [0] * (n + 2)
+    nxt = [0] * (n + 2)
+    down, down_keys, up, up_heights = [0], [-n - 1], [0], [0]
+    last = 0
+    for k, h, s in zip(range(1, n + 1), perm, eps):
+        order[h - 1] = k
+        if s == 1:
+            nxt[last] = k
+            prv[k] = last
+            last = k
+            h = -h
+            while down_keys[-1] > h:
+                down.pop()
+                down_keys.pop()
+            down.append(k)
+            down_keys.append(h)
         else:
-            slots, walls = segments[_find(cut, k)]
-            at = bisect_left(walls, k)
-            if slots:
-                owner = slots[at]
-                triples.append((owner, k, 1) if owner < k else (k, owner, -1))
-            slots[at : at + 1] = [k, k]
-            walls.insert(at, k)
-    return _tree_from_triples(eps, triples)
+            while up_heights[-1] > h:
+                up.pop()
+                up_heights.pop()
+            w = down[bisect_left(down_keys, -h) - 1]
+            u = up[-1]
+            left[k] = u if u > w else w
+            up.append(k)
+            up_heights.append(h)
+    nxt[last] = n + 1
+    prv[n + 1] = last
+    # The pass by height keeps edge (p, q, slope) as p*m + 2q + [slope = 1],
+    # so that the codes sort as the triples do.
+    owner = [0] * (n + 2)
+    m = 2 * n + 2
+    codes = []
+    for k in order:
+        if eps[k - 1] == 1:
+            w, after = prv[k], nxt[k]
+            nxt[w] = after
+            prv[after] = w
+            child = owner[w]
+            if child:
+                codes.append(child * m + 2 * k + 1)
+            child = owner[k]
+            if child:
+                codes.append(k * m + 2 * child)
+            owner[w] = k
+        else:
+            w = left[k]
+            child = owner[w]
+            if child:
+                codes.append(child * m + 2 * k + 1 if child < k else k * m + 2 * child)
+            after = nxt[w]
+            nxt[w] = prv[after] = k
+            prv[k], nxt[k] = w, after
+            owner[w] = owner[k] = k
+    codes.sort()
+    flat = []
+    for code in codes:
+        flat += (code // m, code % m >> 1, 1 if code & 1 else -1)
+    tree = object.__new__(MixedCobinaryTree)
+    tree._store(eps, flat)
+    return tree
 
 
 def _slope_graph(
@@ -417,6 +453,14 @@ def permutations_of(tree: MixedCobinaryTree) -> set[Permutation]:
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
+
+
+def _find(parent: list[int], v: int) -> int:
+    """The root of v in a union-find forest, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def _check_spanning_tree(n: int, edges: Sequence[SignedEdge]) -> None:

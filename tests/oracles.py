@@ -4,6 +4,7 @@ public API."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
@@ -28,9 +29,9 @@ from cobinary import (
     rank_permutation,
     root_from_vector,
     subroots,
-    tree_from_permutation,
 )
 from cobinary.regions import _moved
+from cobinary.trees import _find, _tree_from_triples, as_permutation
 
 
 def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]:
@@ -71,10 +72,60 @@ def region_contains_by_gaps(
     return all(g > 0 if strict else g >= 0 for g in gaps)
 
 
+def tree_from_permutation_by_segments(
+    sigma: Sequence[int], epsilon: Sequence[int]
+) -> MixedCobinaryTree:
+    """The tree realized by the height order sigma, built segment by segment.
+
+    Inserts the nodes from the lowest up.  The fork-down nodes not yet
+    placed cut 1..n into segments, and each segment holds the partial tree
+    on its placed nodes: the left-to-right list of open parent slots (by
+    owning node) and the sorted positions of its walls.  A fork-up node k
+    attaches its child edge to the one open parent slot between the walls
+    bracketing position k, and opens a parent slot on each side of its own
+    wall.  A fork-down node k joins the segments on its left and right: its
+    children take the rightmost open parent slot on the left and the
+    leftmost on the right, and its own parent slot opens between them.
+    Edges are labelled in (p, q) order.
+    """
+    eps = as_sign_sequence(epsilon)
+    perm = as_permutation(sigma)
+    n = len(perm)
+    if n != len(eps):
+        raise ValueError("permutation and sign sequence must have equal length")
+    # Union-find onto the first unplaced fork-down position >= v (or n + 1),
+    # which names the segment holding v.
+    cut = [v + 1 if 1 <= v <= n and eps[v - 1] == -1 else v for v in range(n + 2)]
+    segments = {v: ([], []) for v in range(1, n + 2) if cut[v] == v}
+    triples = []
+    for k in sorted(range(1, n + 1), key=lambda v: perm[v - 1]):
+        if eps[k - 1] == 1:
+            slots_l, walls_l = segments.pop(k)
+            cut[k] = k + 1
+            slots, walls = segments[_find(cut, k)]
+            if slots_l:
+                triples.append((slots_l.pop(), k, 1))
+            if slots:
+                triples.append((k, slots[0], -1))
+            slots[0:1] = slots_l + [k]
+            walls[0:0] = walls_l
+        else:
+            slots, walls = segments[_find(cut, k)]
+            at = bisect_left(walls, k)
+            if slots:
+                owner = slots[at]
+                triples.append((owner, k, 1) if owner < k else (k, owner, -1))
+            slots[at : at + 1] = [k, k]
+            walls.insert(at, k)
+    return _tree_from_triples(eps, triples)
+
+
 def locate_by_fractions(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
     """The tree whose ranking is taken on the point's bare Fractions, without
-    locate_tree's certificate."""
-    return tree_from_permutation(rank_permutation(as_region_point(x)), epsilon)
+    locate_tree's certificate, built by the segment oracle."""
+    return tree_from_permutation_by_segments(
+        rank_permutation(as_region_point(x)), epsilon
+    )
 
 
 def exchange_matrix_by_products(tree: MixedCobinaryTree) -> linalg.IntMatrix:

@@ -214,7 +214,7 @@ def test_locate_matches_the_fraction_route_on_benchmark_like_points():
         if len(set(x)) < n:
             continue
         tested += 1
-        assert cb.locate_tree(x, eps) == locate_by_fractions(x, eps)
+        assert cb.locate_tree(x, eps).flat == locate_by_fractions(x, eps).flat
 
 
 @st.composite
@@ -254,7 +254,7 @@ def test_locate_matches_the_fraction_route(case):
 
     def outcome(locate):
         try:
-            return locate(x, eps)
+            return locate(x, eps).flat
         except cb.TiedCoordinates as exc:
             return str(exc)
 

@@ -26,6 +26,7 @@ from conftest import (
     all_epsilons,
     sha256_lines,
 )
+from oracles import tree_from_permutation_by_segments
 
 # ---------------------------------------------------------------------------
 # catalan
@@ -193,6 +194,79 @@ def test_single_node():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         cb.tree_from_permutation((1, 2), (1, 1, 1))
+
+
+def test_reconstruction_matches_the_segment_oracle_label_for_label():
+    # `flat` holds the edge labels, which `==` ignores.
+    for n in range(1, 7):
+        for eps in all_epsilons(n):
+            for sigma in all_perms(range(1, n + 1)):
+                expected = tree_from_permutation_by_segments(sigma, eps).flat
+                assert cb.tree_from_permutation(sigma, eps).flat == expected
+
+
+def test_reconstruction_matches_the_segment_oracle_at_random():
+    rng = random.Random(1717)
+    for _ in range(400):
+        n = rng.randint(7, 400)
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        sigma = rng.sample(range(1, n + 1), n)
+        expected = tree_from_permutation_by_segments(sigma, eps).flat
+        assert cb.tree_from_permutation(sigma, eps).flat == expected
+
+
+@pytest.mark.parametrize("eps_kind", ["down", "up", "alternating"])
+@pytest.mark.parametrize("sigma_kind", ["identity", "reversed", "zigzag"])
+def test_reconstruction_matches_the_segment_oracle_at_large_n(sigma_kind, eps_kind):
+    n = 2000
+    eps = {
+        "down": (1,) * n,
+        "up": (-1,) * n,
+        "alternating": tuple((-1) ** i for i in range(n)),
+    }[eps_kind]
+    sigma = {
+        "identity": range(1, n + 1),
+        "reversed": range(n, 0, -1),
+        # Heights 1, n, 2, n - 1, ...: low and high nodes alternate.
+        "zigzag": [i // 2 + 1 if i % 2 == 0 else n - i // 2 for i in range(n)],
+    }[sigma_kind]
+    expected = tree_from_permutation_by_segments(sigma, eps).flat
+    assert cb.tree_from_permutation(sigma, eps).flat == expected
+
+
+_NOT_SIGNS = "sign sequence entries must be +-1, got "
+_UNEQUAL = "permutation and sign sequence must have equal length"
+
+
+@pytest.mark.parametrize(
+    "sigma, eps, message",
+    [
+        ((1, 2, 3), (1, 0, 1), _NOT_SIGNS + "(1, 0, 1)"),
+        ((1, 2, 3), (1, 2, -1), _NOT_SIGNS + "(1, 2, -1)"),
+        ((1, 2, 3), (1, 1.0, -1), "expected an integer, got 1.0"),
+        ((1, 2), (True, -1), "expected an integer, got True"),
+        ((), (), "sign sequence must have length at least 1"),
+        ((1, 2), (), "sign sequence must have length at least 1"),
+        ((1, 1, 3), (1, -1, 1), "(1, 1, 3) is not a permutation of 1..3"),
+        ((0, 1, 2), (1, -1, 1), "(0, 1, 2) is not a permutation of 1..3"),
+        ((1, 2, 4), (1, -1, 1), "(1, 2, 4) is not a permutation of 1..3"),
+        ((-1, 1, 2), (1, -1, 1), "(-1, 1, 2) is not a permutation of 1..3"),
+        ((True, 2, 3), (1, -1, 1), "expected an integer, got True"),
+        ((1, 2.0, 3), (1, -1, 1), "expected an integer, got 2.0"),
+        ((1, 2, 10**30), (1, -1, 1), f"(1, 2, {10**30}) is not a permutation of 1..3"),
+        ((1, 2), (1, -1, 1), _UNEQUAL),
+        ((1, 2, 3), (1, -1), _UNEQUAL),
+        # With both arguments bad, epsilon's error comes first.
+        ((1, 1), (1, 0), _NOT_SIGNS + "(1, 0)"),
+        ((1, 2.5), (1.0, 1), "expected an integer, got 1.0"),
+    ],
+    ids=repr,
+)
+def test_tree_from_permutation_errors_are_pinned(sigma, eps, message):
+    with pytest.raises(ValueError) as caught:
+        cb.tree_from_permutation(sigma, eps)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
 
 
 def test_all_fork_up_identity_at_large_n_is_the_staircase():
