@@ -14,11 +14,12 @@ Two facts drive everything in this module:
 * The edge slopes order the nodes by height, and every linear extension of
   that order realizes the tree.  Conversely each permutation of heights is
   realized by exactly one tree, and the reconstruction is effective:
-  insert the nodes from the lowest up on a linked list of the walls that
+  insert the nodes from the lowest up on one sorted list of the walls that
   cross the current height (the vertical walls hanging from the fork-down
   nodes not yet placed and rising from the fork-up nodes already placed).
   Each cell between two walls holds one open parent slot, so the pass in
-  height order places each node in O(1).
+  height order places each node by one bisection and one list edit: O(log n)
+  comparisons and a memmove of up to n pointers.
 
 * For a fixed sign sequence there are Catalan-many trees, generated by a
   recursion on the rightmost node: its removal splits the tree into an
@@ -38,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -293,65 +294,38 @@ def tree_from_permutation(
 ) -> MixedCobinaryTree:
     """The unique tree realized by placing node i at height sigma(i).
 
-    Inserts the nodes from the lowest up on a doubly linked list of the
-    walls that cross the current height: the fork-down nodes not yet
-    placed, the fork-up nodes already placed, and sentinels 0 and n + 1.
-    Each cell between two walls holds one open parent slot, and owner[w]
-    names the node owning the cell right of wall w (0 while it is empty).
-    A fork-down node k unlinks itself: its children own the cells on either
-    side, and it owns the merged cell.  A fork-up node k links itself after
-    its left wall w: its child owns the cell it splits, and it owns both
-    halves.  A first scan finds each w by two monotone stacks, for the
-    nearest higher fork-down and the nearest lower fork-up node left of k.
+    Inserts the nodes from the lowest up on one sorted list of the walls
+    that cross the current height: the fork-down nodes not yet placed, the
+    fork-up nodes already placed, and sentinels 0 and n + 1.  Each cell
+    between two walls holds one open parent slot, and owner[w] names the
+    node owning the cell right of wall w (0 while it is empty).  Node k
+    finds its left wall w by one bisection.  A fork-down node k deletes
+    itself from the list: its children own the cells on either side, and it
+    owns the merged cell.  A fork-up node k inserts itself after w: its
+    child owns the cell it splits, and it owns both halves.  Each list edit
+    shifts the tail of the list, so a node costs O(log n) comparisons and a
+    memmove of up to n pointers.
     """
     eps = as_sign_sequence(epsilon)
     perm = as_permutation(sigma)
     n = len(perm)
     if n != len(eps):
         raise ValueError("permutation and sign sequence must have equal length")
-    # The scan: the sentinel 0 heads both stacks, at height n + 1 among the
-    # fork-down nodes (kept negated, so that the keys rise) and at 0 among
-    # the fork-up nodes.  It also links the fork-down nodes between 0 and n + 1.
     order = [0] * n
-    left = [0] * (n + 1)
-    prv = [0] * (n + 2)
-    nxt = [0] * (n + 2)
-    down, down_keys, up, up_heights = [0], [-n - 1], [0], [0]
-    last = 0
-    for k, h, s in zip(range(1, n + 1), perm, eps):
+    for k, h in zip(range(1, n + 1), perm):
         order[h - 1] = k
-        if s == 1:
-            nxt[last] = k
-            prv[k] = last
-            last = k
-            h = -h
-            while down_keys[-1] > h:
-                down.pop()
-                down_keys.pop()
-            down.append(k)
-            down_keys.append(h)
-        else:
-            while up_heights[-1] > h:
-                up.pop()
-                up_heights.pop()
-            w = down[bisect_left(down_keys, -h) - 1]
-            u = up[-1]
-            left[k] = u if u > w else w
-            up.append(k)
-            up_heights.append(h)
-    nxt[last] = n + 1
-    prv[n + 1] = last
+    walls = [0, *[k for k, s in zip(range(1, n + 1), eps) if s == 1], n + 1]
     # The pass by height keeps edge (p, q, slope) as p*m + 2q + [slope = 1],
     # so that the codes sort as the triples do.
     owner = [0] * (n + 2)
     m = 2 * n + 2
     codes = []
     for k in order:
+        i = bisect_left(walls, k)
+        w = walls[i - 1]
+        child = owner[w]
         if eps[k - 1] == 1:
-            w, after = prv[k], nxt[k]
-            nxt[w] = after
-            prv[after] = w
-            child = owner[w]
+            del walls[i]
             if child:
                 codes.append(child * m + 2 * k + 1)
             child = owner[k]
@@ -359,13 +333,9 @@ def tree_from_permutation(
                 codes.append(k * m + 2 * child)
             owner[w] = k
         else:
-            w = left[k]
-            child = owner[w]
+            walls.insert(i, k)
             if child:
                 codes.append(child * m + 2 * k + 1 if child < k else k * m + 2 * child)
-            after = nxt[w]
-            nxt[w] = prv[after] = k
-            prv[k], nxt[k] = w, after
             owner[w] = owner[k] = k
     codes.sort()
     flat = []
@@ -626,12 +596,7 @@ def enumerate_trees(epsilon: Sequence[int]) -> list[MixedCobinaryTree]:
 def sign_sequences(n: int) -> Iterator[SignSequence]:
     """All 2^n sign sequences of length n.  The first sign turns fastest,
     -1 before 1: (-1, -1), (1, -1), (-1, 1), (1, 1)."""
-    if n == 0:
-        yield ()
-        return
-    for rest in sign_sequences(n - 1):
-        yield (-1,) + rest
-        yield (1,) + rest
+    return (s[::-1] for s in product((-1, 1), repeat=n))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,33 @@ def test_catalan_is_exact_for_large_n():
 
 
 # ---------------------------------------------------------------------------
+# sign_sequences
+# ---------------------------------------------------------------------------
+
+
+def test_sign_sequences_order_is_pinned():
+    # The first sign turns fastest, -1 before 1.
+    assert [list(cb.sign_sequences(n)) for n in range(4)] == [
+        [()],
+        [(-1,), (1,)],
+        [(-1, -1), (1, -1), (-1, 1), (1, 1)],
+        [
+            (-1, -1, -1), (1, -1, -1), (-1, 1, -1), (1, 1, -1),
+            (-1, -1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, 1),
+        ],
+    ]
+
+
+def test_sign_sequences_at_large_n_does_not_recurse():
+    assert next(cb.sign_sequences(5000)) == (-1,) * 5000
+
+
+def test_sign_sequences_rejects_negative_length():
+    with pytest.raises(ValueError):
+        list(cb.sign_sequences(-1))
+
+
+# ---------------------------------------------------------------------------
 # make_tree
 # ---------------------------------------------------------------------------
 
