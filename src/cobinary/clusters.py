@@ -22,9 +22,7 @@ shift): y meets e_a + ... + e_{b-1} as L[b-1] - L[a-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 from . import linalg
@@ -33,6 +31,7 @@ from .exchange import (
     _times_euler,
     euler_inverse,
     euler_matrix,
+    f_lift,
 )
 from .linalg import IntVector
 from .regions import CMatrix, as_region_point
@@ -72,7 +71,7 @@ def _euler_row(eps: SignSequence, at: int) -> tuple[IntVector, IntVector]:
     cluster reads only n - 1 of the n(n + 1)/2 - 1 roots."""
     v = _almost_positive_roots(eps)[at].vector(len(eps))
     (row,) = _times_euler((v,), eps)
-    lift = (0, *accumulate(row))
+    lift = f_lift(row)
     low = min(lift)
     return row, tuple(x - low for x in lift)
 
@@ -128,25 +127,14 @@ def subroots(epsilon: Sequence[int], beta: Root) -> list[Root]:
     return out
 
 
-@dataclass(frozen=True)
-class ClusterMatrix:
+class ClusterMatrix(linalg.ColumnMatrix):
     """Ordered tuple of almost-positive-root columns.
 
     Column order is preserved (it pairs with the classical c-matrix); the
     unordered cluster identity is the sorted column tuple.
     """
 
-    columns: tuple[IntVector, ...]
-
-    def __post_init__(self) -> None:
-        cols = tuple(linalg.as_ints(col) for col in self.columns)
-        object.__setattr__(self, "columns", cols)
-        if any(len(col) != len(cols) for col in cols):
-            raise ValueError("cluster matrix must be square")
-
-    @property
-    def rows(self) -> linalg.IntMatrix:
-        return linalg.transpose(self.columns)
+    kind = "cluster matrix"
 
     def key(self) -> tuple[IntVector, ...]:
         """Order-insensitive identity of the cluster."""
@@ -272,7 +260,7 @@ def stability_domain_contains(
         raise ValueError(f"weight vector must have length {n - 1}, got {len(point)}")
     if beta.q > n:
         raise ValueError(f"root ({beta.p},{beta.q}) does not fit in n={n}")
-    lift = (0, *accumulate(_times_euler((point,), eps)[0]))
+    lift = f_lift(_times_euler((point,), eps)[0])
     return _in_stability_domain(eps, beta, lift)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, permutations, product
+from itertools import islice, permutations, product
 from typing import NoReturn, Sequence
 
 from . import linalg
@@ -46,12 +46,13 @@ from .errors import (
     SingularV,
     VerificationFailed,
 )
-from .exchange import _times_euler, euler_inverse
+from .exchange import _times_euler, euler_inverse, f_lift
 from .regions import CMatrix, RegionPoint, as_region_point, c_matrix
 from .roots import Root, root_from_vector
 from .trees import (
     MixedCobinaryTree,
     Permutation,
+    _ranking,
     as_sign_sequence,
     smallest_first_order,
     tree_from_permutation,
@@ -65,11 +66,6 @@ def f_map(x: Sequence) -> tuple:
     return tuple(x[i + 1] - x[i] for i in range(len(x) - 1))
 
 
-def f_lift(y: Sequence) -> tuple:
-    """The preimage of y under f_map with first coordinate 0."""
-    return tuple(accumulate(y, initial=0))
-
-
 def _tied_rankings(x: Sequence, limit: int) -> tuple[Permutation, ...]:
     """The first `limit` permutations ranking x: ascending index on ties
     first, then the other orders of the tied groups, the last group turning
@@ -78,13 +74,10 @@ def _tied_rankings(x: Sequence, limit: int) -> tuple[Permutation, ...]:
     for i, v in enumerate(x):
         groups.setdefault(v, []).append(i)
     pools = [tuple(islice(permutations(groups[v]), limit)) for v in sorted(groups)]
-    out = []
-    for choice in islice(product(*pools), limit):
-        sigma = [0] * len(x)
-        for rank, i in enumerate((i for block in choice for i in block), start=1):
-            sigma[i] = rank
-        out.append(tuple(sigma))
-    return tuple(out)
+    return tuple(
+        _ranking([i for block in choice for i in block])
+        for choice in islice(product(*pools), limit)
+    )
 
 
 @dataclass(frozen=True)
@@ -171,11 +164,7 @@ def _rebuild(
     """The sum of the lifts, its first ranking, and the tree it realizes."""
     total = tuple(map(sum, zip(*lifts)))
     # A stable sort ranks ties by ascending index: _tied_rankings(total, 1)[0].
-    order = sorted(range(len(total)), key=total.__getitem__)
-    sigma = [0] * len(total)
-    for rank, i in enumerate(order, start=1):
-        sigma[i] = rank
-    ranking = tuple(sigma)
+    ranking = _ranking(sorted(range(len(total)), key=total.__getitem__))
     return total, ranking, tree_from_permutation(ranking, eps)
 
 

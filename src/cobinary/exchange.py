@@ -111,6 +111,11 @@ def _times_euler(vectors: Sequence[Sequence], eps: SignSequence) -> tuple[tuple,
     return tuple(tuple([sum([v[i] * x for i, x in col]) for col in e]) for v in vectors)
 
 
+def f_lift(y: Sequence) -> tuple:
+    """The preimage of y under f_map with first coordinate 0: its prefix sums."""
+    return tuple(accumulate(y, initial=0))
+
+
 def x_matrix(epsilon: Sequence[int]) -> linalg.IntMatrix:
     """E - E^t: skew-symmetric with the inner signs on the superdiagonal."""
     e = euler_matrix(epsilon)
@@ -124,7 +129,7 @@ def _x_prefix(eps: SignSequence) -> linalg.IntMatrix:
     x = x_matrix(eps)
     s = [[0] * (len(x) + 1)]
     for row in x:
-        s.append([a + b for a, b in zip(s[-1], (0, *accumulate(row)))])
+        s.append([a + b for a, b in zip(s[-1], f_lift(row))])
     return tuple(map(tuple, s))
 
 

@@ -10,10 +10,11 @@ O(n^3) integer operations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import NonIntegralResult, SingularV
 
@@ -29,6 +30,24 @@ def as_ints(values: Iterable) -> IntVector:
         if type(x) is not int:
             raise ValueError(f"expected an integer, got {x!r}")
     return out
+
+
+@dataclass(frozen=True)
+class ColumnMatrix:
+    """Square integer matrix kept as its columns, each read by as_ints."""
+
+    columns: IntMatrix
+    kind: ClassVar[str] = "column matrix"  # names the type in the square check
+
+    def __post_init__(self) -> None:
+        cols = tuple(map(as_ints, self.columns))
+        object.__setattr__(self, "columns", cols)
+        if any(len(col) != len(cols) for col in cols):
+            raise ValueError(f"{self.kind} must be square")
+
+    @property
+    def rows(self) -> IntMatrix:
+        return transpose(self.columns)
 
 
 def identity(n: int) -> IntMatrix:

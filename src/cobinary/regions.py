@@ -16,7 +16,6 @@ edge k's slope flips; every edge keeps its label.  On c-matrices this is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .roots import _block_vector, root_from_vector
 from .trees import (
     MixedCobinaryTree,
     SignedEdge,
+    _ranking,
     _tree_from_flat,
     make_tree,
     slot_name,
@@ -57,21 +57,10 @@ def as_region_point(coords: Sequence) -> RegionPoint:
     return tuple(c if type(c) is Fraction else _rational(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class CMatrix:
+class CMatrix(linalg.ColumnMatrix):
     """Square integer matrix whose column k is the c-vector of edge k."""
 
-    columns: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        cols = tuple(linalg.as_ints(col) for col in self.columns)
-        object.__setattr__(self, "columns", cols)
-        if any(len(col) != len(cols) for col in cols):
-            raise ValueError("c-matrix must be square")
-
-    @property
-    def rows(self) -> linalg.IntMatrix:
-        return linalg.transpose(self.columns)
+    kind = "c-matrix"
 
     def column(self, k: int) -> tuple[int, ...]:
         linalg.as_ints((k,))
@@ -153,10 +142,7 @@ def rank_permutation(x: Sequence) -> tuple[int, ...]:
             raise TiedCoordinates(
                 f"coordinates {a + 1} and {b + 1} are equal; the point lies on a wall"
             )
-    sigma = [0] * len(x)
-    for rank, i in enumerate(order, start=1):
-        sigma[i] = rank
-    return tuple(sigma)
+    return _ranking(order)
 
 
 def _keys(point: Sequence) -> tuple[tuple[int, Fraction], ...]:

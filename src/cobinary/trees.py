@@ -277,16 +277,19 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _tree_from_triples(
-    epsilon: Sequence[int], triples: Iterable[EdgeTriple]
-) -> MixedCobinaryTree:
-    """Build a tree assigning canonical labels: edges sorted by (p, q)."""
-    return _tree_from_flat(epsilon, chain.from_iterable(sorted(triples)))
-
-
 # ---------------------------------------------------------------------------
 # Reconstruction from a height order
 # ---------------------------------------------------------------------------
+
+
+def _ranking(order: Sequence[int]) -> Permutation:
+    """The ranking sigma with sigma[order[r]] = r + 1: the heights, from 1,
+    of the 0-based positions that `order` lists from the lowest up.  The one
+    inverse of a permutation in the library."""
+    sigma = [0] * len(order)
+    for rank, i in enumerate(order, start=1):
+        sigma[i] = rank
+    return tuple(sigma)
 
 
 def tree_from_permutation(
@@ -311,9 +314,7 @@ def tree_from_permutation(
     n = len(perm)
     if n != len(eps):
         raise ValueError("permutation and sign sequence must have equal length")
-    order = [0] * n
-    for k, h in zip(range(1, n + 1), perm):
-        order[h - 1] = k
+    order = _ranking([h - 1 for h in perm])  # the nodes from the lowest up
     walls = [0, *[k for k, s in zip(range(1, n + 1), eps) if s == 1], n + 1]
     # The pass by height keeps edge (p, q, slope) as p*m + 2q + [slope = 1],
     # so that the codes sort as the triples do.
@@ -382,11 +383,8 @@ def smallest_first_order(
 
 def linear_extension(tree: MixedCobinaryTree) -> Permutation:
     """One permutation realizing the tree (smallest-node-first extension)."""
-    sigma = [0] * tree.n
     order = smallest_first_order(range(1, tree.n + 1), tree.height_pairs())
-    for rank, v in enumerate(order, start=1):
-        sigma[v - 1] = rank
-    return tuple(sigma)
+    return _ranking([v - 1 for v in order])
 
 
 def permutations_of(tree: MixedCobinaryTree) -> set[Permutation]:
@@ -525,7 +523,8 @@ def make_tree(
 
 def initial_tree(epsilon: Sequence[int]) -> MixedCobinaryTree:
     """The staircase tree realized only by the identity height order."""
-    return _tree_from_triples(epsilon, [(i, i + 1, 1) for i in range(1, len(epsilon))])
+    flat = chain.from_iterable((i, i + 1, 1) for i in range(1, len(epsilon)))
+    return _tree_from_flat(epsilon, flat)
 
 
 # ---------------------------------------------------------------------------

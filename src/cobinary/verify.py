@@ -44,6 +44,7 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
+    count: int | None = None  # trees or clusters found, read by run_all
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -64,7 +65,7 @@ def suite_trees(eps, n_max, samples, seed) -> SuiteResult:
     trees = enumerate_trees(eps)
     expected = catalan(len(eps))
     ok = len(trees) == expected and len(set(trees)) == expected
-    return SuiteResult("trees", ok, f"trees={len(trees)} expected={expected}")
+    return SuiteResult("trees", ok, f"trees={len(trees)} expected={expected}", len(trees))
 
 
 def suite_perm_partition(eps, n_max, samples, seed) -> SuiteResult:
@@ -139,9 +140,8 @@ def suite_clusters(eps, n_max, samples, seed) -> SuiteResult:
     expected = catalan(len(eps))
     keys = {c.key() for c in clusters}
     ok = len(clusters) == expected and len(keys) == expected
-    return SuiteResult(
-        "clusters", ok, f"clusters={len(clusters)} expected={expected}"
-    )
+    detail = f"clusters={len(clusters)} expected={expected}"
+    return SuiteResult("clusters", ok, detail, len(clusters))
 
 
 def suite_bijection(eps, n_max, samples, seed) -> SuiteResult:
@@ -325,10 +325,8 @@ def run_all(
     eps = as_sign_sequence(epsilon)
     results = [suite(eps, n_max, samples, seed) for suite in _SUITES]
     by_name = {r.name: r for r in results}
-    trees_count = by_name["trees"].detail.split()[0].split("=")[1]
-    clusters_count = by_name["clusters"].detail.split()[0].split("=")[1]
     summary = (
-        f"clusters={clusters_count} trees={trees_count} "
+        f"clusters={by_name['clusters'].count} trees={by_name['trees'].count} "
         f"bijection={'ok' if by_name['bijection'].passed else 'FAIL'} "
         f"theorem2={'ok' if by_name['theorem2'].passed else 'FAIL'}"
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -30,8 +30,7 @@ from cobinary import (
     root_from_vector,
     subroots,
 )
-from cobinary.regions import _moved
-from cobinary.trees import _find, _tree_from_triples, as_permutation
+from cobinary.trees import _find, _tree_from_flat, as_permutation
 
 
 def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]:
@@ -117,7 +116,7 @@ def tree_from_permutation_by_segments(
                 triples.append((owner, k, 1) if owner < k else (k, owner, -1))
             slots[at : at + 1] = [k, k]
             walls.insert(at, k)
-    return _tree_from_triples(eps, triples)
+    return _tree_from_flat(eps, chain.from_iterable(sorted(triples)))
 
 
 def locate_by_fractions(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
@@ -171,9 +170,19 @@ def c_matrix_by_roots(tree: MixedCobinaryTree) -> CMatrix:
 def _moved_edges(
     tree: MixedCobinaryTree, edge: SignedEdge
 ) -> tuple[SignedEdge | None, SignedEdge | None]:
-    """The edges that mutation at `edge` moves, as (down, up)."""
-    (down, _), (up, _) = _moved(tree, edge.lower, edge.upper)
-    return (tree.edge(down) if down else None, tree.edge(up) if up else None)
+    """The edges that mutation at `edge`, from its lower endpoint a up to b,
+    moves, as (down, up), read from the slot definitions.  Down is the edge
+    on b's parent side: b's parent if b forks down, else its parent on a's
+    side.  Up is the edge on a's child side: a's child if a forks up, else
+    its child on b's side."""
+    a, b = edge.lower, edge.upper
+    down = up = None
+    for e in tree.edges:
+        if e.lower == b and (tree.epsilon[b - 1] == 1 or (e.upper < b) == (a < b)):
+            down = e
+        elif e.upper == a and (tree.epsilon[a - 1] == -1 or (e.lower < a) == (b < a)):
+            up = e
+    return down, up
 
 
 def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:

@@ -4,6 +4,7 @@ anything else with ValueError, and rounds nothing."""
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -56,6 +57,61 @@ ENTRY_POINTS = {
 def test_entry_points_reject_non_integers(entry, value):
     with pytest.raises(ValueError, match=r"^expected an integer, got "):
         ENTRY_POINTS[entry](value)
+
+
+# The two square integer column matrices, each with the name its square
+# check reports and its pickle at protocol 4.
+MATRIX_TYPES = {
+    "CMatrix": (
+        cb.CMatrix,
+        "c-matrix",
+        b"\x80\x04\x95?\x00\x00\x00\x00\x00\x00\x00\x8c\x10cobinary.regions\x94"
+        b"\x8c\x07CMatrix\x94\x93\x94)\x81\x94}\x94\x8c\x07columns\x94"
+        b"K\x01K\x00\x86\x94K\x01K\x01\x86\x94\x86\x94sb.",
+    ),
+    "ClusterMatrix": (
+        cb.ClusterMatrix,
+        "cluster matrix",
+        b"\x80\x04\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x11cobinary.clusters\x94"
+        b"\x8c\rClusterMatrix\x94\x93\x94)\x81\x94}\x94\x8c\x07columns\x94"
+        b"K\x01K\x00\x86\x94K\x01K\x01\x86\x94\x86\x94sb.",
+    ),
+}
+
+# Columns each matrix type rejects, with the exact message ({} is the
+# type's name).
+BAD_COLUMNS = {
+    "float": (((1.5, 0), (0, 1)), "expected an integer, got 1.5"),
+    "bool": (((1, 0), (0, True)), "expected an integer, got True"),
+    "string": ((("1", 0), (0, 1)), "expected an integer, got '1'"),
+    "ragged": (((1, 0), (1,)), "{} must be square"),
+    "non-square": (((1, 0), (0, 1), (1, 1)), "{} must be square"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_COLUMNS))
+@pytest.mark.parametrize("kind", sorted(MATRIX_TYPES))
+def test_matrix_types_reject_bad_columns_with_exact_messages(kind, bad):
+    cls, name, _ = MATRIX_TYPES[kind]
+    columns, message = BAD_COLUMNS[bad]
+    with pytest.raises(ValueError) as caught:
+        cls(columns)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message.format(name)
+
+
+@pytest.mark.parametrize("kind", sorted(MATRIX_TYPES))
+def test_matrix_types_keep_repr_equality_hash_and_pickle(kind):
+    cls, _, pickled = MATRIX_TYPES[kind]
+    m = cls([[1, 0], [1, 1]])
+    assert repr(m) == f"{kind}(columns=((1, 0), (1, 1)))"
+    assert m == cls(((1, 0), (1, 1))) and hash(m) == hash((m.columns,))
+    # The other type with equal columns hashes alike but is not equal.
+    (other,) = (c for name, (c, _, _) in MATRIX_TYPES.items() if name != kind)
+    assert m != other(m.columns) and hash(m) == hash(other(m.columns))
+    assert pickle.dumps(m, protocol=4) == pickled
+    loaded = pickle.loads(pickled)
+    assert type(loaded) is cls and loaded == m and repr(loaded) == repr(m)
 
 
 # Exact rational coordinates read through `regions.as_region_point`: an int,

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import re
+from fractions import Fraction
 from itertools import permutations as all_perms
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
+from cobinary import correspondence
 from cobinary.serialize import binary_tree_to_obj, dumps, tree_to_obj
 
 from conftest import (
@@ -24,6 +26,7 @@ from conftest import (
     MUT_EDGES,
     MUT_EPS,
     all_epsilons,
+    guarded,
     sha256_lines,
 )
 from oracles import tree_from_permutation_by_segments
@@ -309,6 +312,37 @@ def test_make_tree_accepts_a_located_tree_at_large_n():
     eps = tuple(rng.choice((-1, 1)) for _ in range(n))
     located = cb.locate_tree(rng.sample(range(10 * n), n), eps)
     assert cb.make_tree(eps, located.edges).edges == located.edges
+
+
+# sha256 of the outputs of every site that turns a bottom-up order into its
+# ranking or a ranking into its order, on seeded inputs with ties for
+# n = 1..300: tree_from_permutation, linear_extension, rank_permutation
+# (with its TiedCoordinates message), correspondence._rebuild and
+# correspondence._tied_rankings.
+INVERSE_SITES_SHA256 = "29068befe5731b3540e6909b42350d263558e640a29befda3db7d2fa0994c8ac"
+
+
+def _inverse_site_lines():
+    rng = random.Random(19)
+    for n in range(1, 301):
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        tree = cb.tree_from_permutation(rng.sample(range(1, n + 1), n), eps)
+        yield f"{tree.flat} {cb.linear_extension(tree)}"
+        d = rng.randint(1, 3)
+        numerators = (
+            rng.sample(range(-4 * n, 4 * n), n)  # distinct
+            if n % 2
+            else [rng.randint(-n, n) for _ in range(n)]  # ties likely
+        )
+        yield guarded(lambda: cb.rank_permutation([Fraction(v, d) for v in numerators]))
+        lifts = [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        total, ranking, rebuilt = correspondence._rebuild(lifts, eps)
+        yield f"{total} {ranking} {rebuilt.flat}"
+        yield repr(correspondence._tied_rankings([rng.randint(0, 3) for _ in range(n)], 24))
+
+
+def test_every_inverse_site_is_pinned():
+    assert sha256_lines(_inverse_site_lines()) == INVERSE_SITES_SHA256
 
 
 @given(
