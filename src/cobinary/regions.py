@@ -34,16 +34,26 @@ from .trees import (
 
 RegionPoint = tuple[Fraction, ...]
 _EXACT_TYPES = frozenset((int, Fraction))
-# _keys puts floor(2**_KEY_BITS * x_i) before x_i.  A plain floor
+# _floors scales by 2**_KEY_BITS before taking the floor.  A plain floor
 # would leave every coordinate of a point in [0, 1) tied on its integer
-# part, and a tied pair costs two Fraction comparisons instead of one.
+# part, and a tie sends the whole point to the slower (int, Fraction) pairs.
 _KEY_BITS = 64
+
+
+def _read_fraction(text: str) -> Fraction:
+    """Fraction(text), save that an underscore anywhere or whitespace inside
+    the string raises ValueError with Python 3.10's message on every
+    version: 3.11 began to read "1_0" and 3.12 "1 / 2", which 3.10 refuses.
+    Whitespace around the whole string stays allowed, as on every version."""
+    if "_" in text or len(text.split()) > 1:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(text)
 
 
 def _rational(c) -> Fraction:
     try:
         if type(c) is str:
-            return Fraction(c)
+            return _read_fraction(c)
         (k,) = linalg.as_ints((c,))
         return Fraction(k)
     except (ValueError, ZeroDivisionError) as exc:
@@ -133,7 +143,7 @@ def rank_permutation(x: Sequence) -> tuple[int, ...]:
     """sigma with sigma(i) the position of x_i in increasing order.
 
     x may hold any mutually comparable values; :func:`locate_tree` passes
-    the pairs (floor(2**64 * x_i), x_i), which sort exactly as x does.
+    the point's sort keys (:func:`_sort_keys`), which sort exactly as x does.
     Raises TiedCoordinates when two coordinates are equal.
     """
     order = sorted(range(len(x)), key=x.__getitem__)
@@ -145,23 +155,41 @@ def rank_permutation(x: Sequence) -> tuple[int, ...]:
     return _ranking(order)
 
 
-def _keys(point: Sequence) -> tuple[tuple[int, Fraction], ...]:
-    """The pairs (floor(2**64 * x_i), x_i) of an exact point, the one key by
-    which rational coordinates are compared.  The floor of an increasing map
-    is monotone, so the pairs compare exactly as the x_i do and are equal
-    exactly when the x_i are.  Coordinates at least 2**-64 apart are told
-    apart by the integers alone; only closer ones compare their Fractions.
-    Nothing is rounded."""
-    return tuple(((c.numerator << _KEY_BITS) // c.denominator, c) for c in point)
+def _floors(point: Sequence[Fraction]) -> list[int]:
+    """floor(2**64 * x_i) of each coordinate of a point of Fractions, read
+    through one as_integer_ratio call per coordinate."""
+    return [(a << _KEY_BITS) // b for a, b in map(Fraction.as_integer_ratio, point)]
+
+
+def _keys(point: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    """The pairs (floor(2**64 * x_i), x_i) of a point of Fractions, the one
+    key by which rational coordinates are compared.  The floor of an
+    increasing map is monotone, so the pairs compare exactly as the x_i do
+    and are equal exactly when the x_i are.  Coordinates at least 2**-64
+    apart are told apart by the integers alone; only closer ones compare
+    their Fractions.  Nothing is rounded."""
+    return tuple(zip(_floors(point), point))
+
+
+def _sort_keys(point: Sequence[Fraction]) -> Sequence:
+    """The floors (:func:`_floors`) when they are pairwise distinct, else the
+    pairs (:func:`_keys`).  Distinct floors already order the point exactly
+    as its coordinates, so a Fraction is compared or hashed only when two
+    floors tie.  Either way the keys are distinct exactly when the x_i are."""
+    floors = _floors(point)
+    if len(set(floors)) == len(floors):
+        return floors
+    return tuple(zip(floors, point))
 
 
 def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
     """The unique tree whose open region contains x, ranked and certified on
-    the point's keys (:func:`_keys`)."""
+    the point's sort keys (:func:`_sort_keys`), the bare floors unless two
+    of them tie.  Error messages are built from the Fractions."""
     point = as_region_point(x)
     if len(point) != len(epsilon):
         raise ValueError("point and sign sequence must have equal length")
-    keyed = _keys(point)
+    keyed = _sort_keys(point)
     tree = tree_from_permutation(rank_permutation(keyed), epsilon)
     if not _contains(tree, keyed):
         k, p, q, slope = next(

@@ -25,7 +25,7 @@ from .correspondence import (
     wall_stability_point,
 )
 from .exchange import exchange_matrix, fz_mutate, x_matrix
-from .regions import _contains, _keys, c_matrix, locate_tree, mutate, region_contains
+from .regions import _contains, _sort_keys, c_matrix, locate_tree, mutate, region_contains
 from .roots import interval_vector
 from .trees import (
     EdgeTriple,
@@ -173,8 +173,9 @@ def _edge_masks(trees: Sequence[MixedCobinaryTree]) -> dict[EdgeTriple, int]:
 
 def _trees_missing(masks: dict[EdgeTriple, int], x: Sequence) -> int:
     """Bitmask of the trees whose open region misses a point with distinct
-    coordinates, given as x or as its keys (regions._keys): those with an
-    edge whose slope disagrees with x."""
+    coordinates, given as x or as any keys that order it as x (the floors
+    or the pairs of regions._sort_keys): those with an edge whose slope
+    disagrees with x."""
     out = 0
     for q in range(2, len(x) + 1):
         xq = x[q - 1]
@@ -196,10 +197,11 @@ def suite_region_partition(eps, n_max, samples, seed) -> SuiteResult:
             Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 1000))
             for _ in range(n)
         )
-        if len(set(x)) < n:
+        keys = _sort_keys(x)
+        if len(set(keys)) < n:
             continue
         tested += 1
-        inside = every & ~_trees_missing(masks, _keys(x))
+        inside = every & ~_trees_missing(masks, keys)
         # One bit set: the region of exactly one tree holds x.
         ok = ok and inside != 0 and inside & (inside - 1) == 0
         if ok:

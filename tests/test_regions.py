@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary import linalg
+from cobinary import linalg, regions
 from cobinary.serialize import dumps, tree_to_obj
 
 from conftest import (
@@ -215,6 +215,69 @@ def test_locate_matches_the_fraction_route_on_benchmark_like_points():
             continue
         tested += 1
         assert cb.locate_tree(x, eps).flat == locate_by_fractions(x, eps).flat
+
+
+def _benchmark_point(rng, n):
+    """n distinct coordinates drawn as the locate workload draws them."""
+    while True:
+        x = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 1000)) for _ in range(n)]
+        if len(set(x)) == n:
+            return x
+
+
+def _one_near_tie(rng):
+    # x_j lies 2**-70 above x_i, a multiple of 2**-10, so the two share
+    # floor(2**64 * x); any other two distinct coordinates differ by at
+    # least 1/(1024 * 1000), far more than 2**-64.
+    x = _benchmark_point(rng, 256)
+    i, j = rng.sample(range(256), 2)
+    x[i] = Fraction(rng.randint(-(10**9), 10**9), 2**10)
+    x[j] = x[i] + Fraction(1, 2**70)
+    return x
+
+
+def _all_below_2_to_minus_70(rng):
+    values = set()
+    while len(values) < 300:
+        b = rng.randint(2, 10**4)
+        values.add(Fraction(rng.randint(1, b - 1), b * 2**70))
+    x = list(values)
+    rng.shuffle(x)
+    return x
+
+
+def _equal_written_differently(rng):
+    x = _benchmark_point(rng, 256)
+    i, j = rng.sample(range(256), 2)
+    x[j] = f"{3 * x[i].numerator}/{3 * x[i].denominator}"
+    return x
+
+
+@pytest.mark.parametrize(
+    "draw, outcome",
+    [(_one_near_tie, "tree"), (_all_below_2_to_minus_70, "tree"),
+     (_equal_written_differently, "tied")],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_locate_falls_back_to_the_pairs_when_floors_tie(draw, outcome):
+    # At the benchmark's size, where Hypothesis does not reach: each point
+    # has two coordinates that share floor(2**64 * x), so locate_tree ranks
+    # and certifies on the (int, Fraction) pairs.
+    rng = random.Random(2020)
+    for _ in range(3):
+        x = draw(rng)
+        eps = tuple(rng.choice((1, -1)) for _ in x)
+        assert isinstance(regions._sort_keys(cb.as_region_point(x))[0], tuple)
+        if outcome == "tree":
+            assert len(set(cb.as_region_point(x))) == len(x)
+            assert cb.locate_tree(x, eps).flat == locate_by_fractions(x, eps).flat
+            continue
+        messages = []
+        for locate in (cb.locate_tree, locate_by_fractions):
+            with pytest.raises(cb.TiedCoordinates) as caught:
+                locate(x, eps)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 @st.composite

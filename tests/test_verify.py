@@ -93,6 +93,9 @@ def test_edge_masks_give_the_trees_whose_region_holds_a_point():
 def test_trees_missing_on_keys_matches_the_lcm_scaled_point():
     # Seeded points with negative non-integer coordinates; in half of them
     # two coordinates are closer than 2**-64, so their keys share the integer.
+    # Both the pairs and the floors-or-pairs choice that region-partition
+    # makes (regions._sort_keys) are checked, and that choice must tell
+    # distinct coordinates from tied ones exactly as the Fractions do.
     rng = random.Random(15)
     close = (Fraction(1, 2**70), Fraction(-1, 2**64 + 1), Fraction(3, 2**66))
     for n in range(1, 7):
@@ -103,10 +106,18 @@ def test_trees_missing_on_keys_matches_the_lcm_scaled_point():
                 if n > 1 and rng.random() < 0.5:
                     i, j = rng.sample(range(n), 2)
                     x[j] = x[i] + rng.choice(close)
-                if len(set(x)) < n:
+                distinct = len(set(x)) == n
+                assert (len(set(regions._sort_keys(x))) == n) == distinct, x
+                if n > 1:
+                    tied = [*x[:-1], x[0]]
+                    assert len(set(regions._sort_keys(tied))) < n, tied
+                if not distinct:
                     continue
+                expected = missing_by_lcm(masks, x)
                 missing = verify._trees_missing(masks, regions._keys(x))
-                assert missing == missing_by_lcm(masks, x), (eps, x)
+                assert missing == expected, (eps, x)
+                missing = verify._trees_missing(masks, regions._sort_keys(x))
+                assert missing == expected, (eps, x)
 
 
 # Sampled (n=7 above n_max=6) and exhaustive (n=5) runs of the suites that
