@@ -13,7 +13,6 @@ from .clusters import (
     classical_c_matrix,
     cluster_violation,
     enumerate_clusters,
-    euler_form,
     initial_cluster,
     is_cluster_matrix,
     projective_roots,

@@ -22,20 +22,14 @@ shift): y meets e_a + ... + e_{b-1} as L[b-1] - L[a-1].
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
 from .errors import NotACluster, NotARoot, VerificationFailed
-from .exchange import (
-    _times_euler,
-    euler_inverse,
-    euler_matrix,
-    f_lift,
-)
+from .exchange import _times_euler, euler_inverse, euler_matrix, f_lift, quiver
 from .linalg import IntVector
 from .regions import CMatrix, as_region_point
-from .roots import Root, is_root_vector, positive_roots, root_from_vector
+from .roots import Root, is_root_vector
 from .trees import SignSequence, as_sign_sequence
 
 
@@ -47,62 +41,9 @@ def projective_roots(epsilon: Sequence[int]) -> tuple[IntVector, ...]:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _almost_positive_roots(eps: SignSequence) -> tuple[Root, ...]:
-    """The one table of almost positive roots: the positive roots in (p, q)
-    order, then the n - 1 negated projective roots in vertex order."""
-    projective = (-root_from_vector(row) for row in projective_roots(eps))
-    return (*positive_roots(len(eps)), *projective)
-
-
-@lru_cache(maxsize=None)
-def _root_positions(eps: SignSequence) -> dict[IntVector, int]:
-    """Each almost positive root's vector and its position in the table."""
-    n = len(eps)
-    return {r.vector(n): at for at, r in enumerate(_almost_positive_roots(eps))}
-
-
-@lru_cache(maxsize=None)
-def _euler_row(eps: SignSequence, at: int) -> tuple[IntVector, IntVector]:
-    """For v = _almost_positive_roots(eps)[at]: the row v^t E and its lift
-    L, the prefix sums (0, ...) of v^t E shifted to minimum 0, so that
-    v^t E (e_p + ... + e_{q-1}) = L[q-1] - L[p-1].  The decoder reads L as
-    a cut indicator.  Entries are kept per root, not per table, because a
-    cluster reads only n - 1 of the n(n + 1)/2 - 1 roots."""
-    v = _almost_positive_roots(eps)[at].vector(len(eps))
-    (row,) = _times_euler((v,), eps)
-    lift = f_lift(row)
-    low = min(lift)
-    return row, tuple(x - low for x in lift)
-
-
-@lru_cache(maxsize=None)
-def _compatibility_row(eps: SignSequence, at: int) -> int:
-    """The directed-compatibility row of u = _almost_positive_roots(eps)[at],
-    the one home of the compatibility rule: bit b is set when root v_b is
-    negative or u^t E v_b >= 0."""
-    lift = _euler_row(eps, at)[1]
-    return sum(
-        1 << b
-        for b, v in enumerate(_almost_positive_roots(eps))
-        if v.sign == -1 or lift[v.q - 1] >= lift[v.p - 1]
-    )
-
-
 def almost_positive_roots(epsilon: Sequence[int]) -> tuple[Root, ...]:
     """All positive roots in (p, q) order, then the negated projectives."""
-    return _almost_positive_roots(as_sign_sequence(epsilon))
-
-
-def euler_form(epsilon: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
-    """a^t E b, the Hom-minus-Ext pairing on dimension vectors."""
-    e = euler_matrix(epsilon)
-    a, b = linalg.as_ints(a), linalg.as_ints(b)
-    if len(a) != len(e) or len(b) != len(e):
-        raise ValueError(
-            f"vectors must have length {len(e)}, got {len(a)} and {len(b)}"
-        )
-    return linalg.dot(a, linalg.mat_vec(e, b))
+    return quiver(as_sign_sequence(epsilon)).roots
 
 
 def subroots(epsilon: Sequence[int], beta: Root) -> list[Root]:
@@ -161,15 +102,15 @@ def cluster_violation(
         return "column of wrong length"
     if len(set(cols)) != len(cols):
         return "columns are not distinct"
-    position = _root_positions(eps)
+    tables = quiver(eps)
     picked = []
     for col in cols:
-        at = position.get(col)
+        at = tables.positions.get(col)
         if at is None:
             return f"column {col} is not an almost positive root"
         picked.append(at)
     for i, a in enumerate(picked):
-        row = _compatibility_row(eps, a)
+        row = tables.compatibility(a)
         for j, b in enumerate(picked):
             if not row >> b & 1:
                 return (
@@ -202,8 +143,9 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
     n = len(eps)
     if n == 1:
         return [ClusterMatrix(())]
-    vectors = list(_root_positions(eps))  # in table order
-    rows = [_compatibility_row(eps, at) for at in range(len(vectors))]
+    tables = quiver(eps)
+    vectors = list(tables.positions)  # in table order
+    rows = [tables.compatibility(at) for at in range(len(vectors))]
     compatible = [  # bit v of row u when u and v are compatible both ways
         sum(1 << v for v, other in enumerate(rows) if row >> v & other >> u & 1)
         for u, row in enumerate(rows)

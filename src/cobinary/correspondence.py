@@ -26,19 +26,11 @@ all subroot inequalities of that edge's root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, permutations, product
 from typing import NoReturn, Sequence
 
 from . import linalg
-from .clusters import (
-    ClusterMatrix,
-    _euler_row,
-    _in_stability_domain,
-    _root_positions,
-    cluster_violation,
-    enumerate_clusters,
-)
+from .clusters import ClusterMatrix, _in_stability_domain, cluster_violation, enumerate_clusters
 from .errors import (
     NonIntegralResult,
     NotACluster,
@@ -46,7 +38,7 @@ from .errors import (
     SingularV,
     VerificationFailed,
 )
-from .exchange import _times_euler, euler_inverse, f_lift
+from .exchange import _times_euler, f_lift, quiver
 from .regions import CMatrix, RegionPoint, as_region_point, c_matrix
 from .roots import Root, root_from_vector
 from .trees import (
@@ -101,12 +93,6 @@ class BijectionWork:
     def tied_rankings(self) -> tuple[Permutation, ...]:
         """Up to 24 rankings of the sum vector; every one rebuilds the tree."""
         return _tied_rankings(self.sum_vector, 24)
-
-
-@lru_cache(maxsize=None)
-def _euler_inverse_roots(eps: tuple[int, ...]) -> tuple[Root, ...]:
-    """The columns of E^{-1}, each a root: the vertices with a path to j."""
-    return tuple(map(root_from_vector, zip(*euler_inverse(eps))))
 
 
 def _cut_sides(tree: MixedCobinaryTree) -> list[tuple[int, ...]]:
@@ -173,11 +159,12 @@ def cluster_to_tree_work(
 ) -> BijectionWork:
     """Run the constructive correspondence and keep the work shown.
 
-    Each column is looked up in the per-sign-sequence table of almost
-    positive roots, which holds its row of V^t E and that row's lift through
-    f_lift shifted to minimum 0 (a cut indicator); a column outside the
-    table is no cluster's.  The lifts are summed and the sum is ranked,
-    ascending index on ties, into the permutation that rebuilds the tree.
+    Each column is looked up in the sign sequence's table of almost
+    positive roots (exchange.quiver), which holds its row of V^t E and
+    that row's lift through f_lift shifted to minimum 0 (a cut indicator);
+    a column outside the table is no cluster's.  The lifts are summed and
+    the sum is ranked, ascending index on ties, into the permutation that
+    rebuilds the tree.
     Edge k is the one edge that crosses cut k, and V^t E C(T) = I is
     certified by telescoping.
     """
@@ -190,11 +177,11 @@ def cluster_to_tree_work(
         return BijectionWork(eps, cluster, (), (), (1,), (1,), tree)
     if len(cluster.columns) != n - 1:
         raise ValueError(f"{n} nodes pair with clusters of {n - 1} columns")
-    position = _root_positions(eps)
-    ats = [position.get(col) for col in cluster.columns]
+    tables = quiver(eps)
+    ats = [tables.positions.get(col) for col in cluster.columns]
     if None in ats:  # not a cluster: no tree pairs with these columns
         _name_failure(_times_euler(cluster.columns, eps))
-    vt_e, lifted = map(tuple, zip(*[_euler_row(eps, at) for at in ats]))
+    vt_e, lifted = map(tuple, zip(*[tables.euler_row(at) for at in ats]))
     total, ranking, tree = _rebuild(lifted, eps)
     triples = list(tree.edge_triples())
     crossing = [  # per lift, the first edge whose endpoints it tells apart
@@ -236,7 +223,7 @@ def tree_to_cluster(tree: MixedCobinaryTree) -> ClusterMatrix:
     if tree.n == 1:
         return ClusterMatrix(())
     sides = _cut_sides(tree)
-    roots = _euler_inverse_roots(eps)
+    roots = quiver(eps).inverse_column_roots
     cluster = ClusterMatrix(
         tuple(tuple(s[r.q - 1] - s[r.p - 1] for r in roots) for s in sides)
     )

@@ -31,21 +31,34 @@ def tree_to_obj(tree: MixedCobinaryTree) -> dict[str, Any]:
     }
 
 
+def _fields(obj: Any, keys: tuple[str, ...], what: str) -> list:
+    """obj's values at keys, else ValueError naming the shape or key it lacks."""
+    if not isinstance(obj, dict):
+        names = ", ".join(map(repr, keys))
+        raise ValueError(f"{what} must be a JSON object with keys {names}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no key {key!r}")
+    return [obj[key] for key in keys]
+
+
 def tree_from_obj(obj: Any) -> MixedCobinaryTree:
     """Read a tree whose entries are JSON integers.  Any other shape raises
     CobinaryError ("malformed tree object"); an edge set that is not a tree
     keeps the error of make_tree (NotATree, ArityViolation, WallViolation)."""
     try:
-        epsilon = as_ints(obj["epsilon"])
+        epsilon, edges = _fields(obj, ("epsilon", "edges"), "a tree")
+        if not isinstance(epsilon, list) or not isinstance(edges, list):
+            raise ValueError("'epsilon' and 'edges' must be arrays")
         edges = [
-            SignedEdge(*(e[key] for key in ("i", "p", "q", "slope")))
-            for e in obj["edges"]
+            SignedEdge(*_fields(e, ("i", "p", "q", "slope"), f"edge {at}"))
+            for at, e in enumerate(edges, 1)
         ]
-        tree = make_tree(epsilon, edges)
+        tree = make_tree(as_ints(epsilon), edges)
         n = as_ints([obj["n"]])[0] if "n" in obj else tree.n
     except CobinaryError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CobinaryError(f"malformed tree object: {exc}") from exc
     if n != tree.n:
         raise CobinaryError(f"tree object claims n={n} but has {tree.n} nodes")
@@ -88,8 +101,11 @@ def exchange_to_obj(ex: ExchangeMatrix) -> dict[str, list[list[int]]]:
 def exchange_from_obj(obj: Any) -> ExchangeMatrix:
     """Read {"B", "C"} of JSON integers; any other shape raises CobinaryError."""
     try:
-        return ExchangeMatrix(obj["B"], obj["C"])
-    except (KeyError, TypeError, ValueError) as exc:
+        b, c = _fields(obj, ("B", "C"), "an exchange matrix")
+        if not all(isinstance(m, list) and all(isinstance(r, list) for r in m) for m in (b, c)):
+            raise ValueError("'B' and 'C' must be arrays of rows")
+        return ExchangeMatrix(b, c)
+    except (TypeError, ValueError) as exc:
         raise CobinaryError(f"malformed exchange matrix object: {exc}") from exc
 
 

@@ -49,6 +49,31 @@ def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]
     return found
 
 
+def euler_matrix_by_arrows(epsilon: Sequence[int]) -> linalg.IntMatrix:
+    """E = I - A from the definition: the arrow between vertices a and a + 1
+    points left when sign a + 1 is +1 and right when it is -1."""
+    m = len(epsilon) - 1
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    for a in range(1, m):
+        if epsilon[a] == 1:
+            rows[a][a - 1] = -1
+        else:
+            rows[a - 1][a] = -1
+    return tuple(map(tuple, rows))
+
+
+def euler_form(epsilon: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
+    """a^t E b, the Hom-minus-Ext pairing on dimension vectors, as a dense
+    product with E."""
+    e = euler_matrix(epsilon)
+    a, b = linalg.as_ints(a), linalg.as_ints(b)
+    if len(a) != len(e) or len(b) != len(e):
+        raise ValueError(
+            f"vectors must have length {len(e)}, got {len(a)} and {len(b)}"
+        )
+    return linalg.dot(a, linalg.mat_vec(e, b))
+
+
 def root_euler(counts: tuple[linalg.IntVector, linalg.IntVector], a: Root, b: Root) -> int:
     """a^t E b for two roots, in O(1) from the arrow counts of E: for
     positive roots, the vertices [p, q) the two intervals share minus the

@@ -319,6 +319,22 @@ def _tree_payload(**changes):
     return json.dumps(obj)
 
 
+# Payloads of the wrong shape, with the message each one must give.
+WRONG_SHAPES = {
+    ("trees", "mutate", "--k", "1", "--tree", "[1,2]"):
+        "malformed tree object: a tree must be a JSON object with keys 'epsilon', 'edges'",
+    ("trees", "mutate", "--k", "1", "--tree", '{"x":1}'):
+        "malformed tree object: a tree has no key 'epsilon'",
+    ("trees", "mutate", "--k", "1", "--tree", '{"epsilon":[1,1],"edges":5}'):
+        "malformed tree object: 'epsilon' and 'edges' must be arrays",
+    ("trees", "mutate", "--k", "1", "--tree", '{"epsilon":[1,1],"edges":[5]}'):
+        "malformed tree object: edge 1 must be a JSON object with keys 'i', 'p', 'q', 'slope'",
+    ("matrix", "fz-mutate", "--k", "1", "--btilde", "[1]"):
+        "malformed exchange matrix object: "
+        "an exchange matrix must be a JSON object with keys 'B', 'C'",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -336,6 +352,7 @@ def _tree_payload(**changes):
          json.dumps({"B": [[0, 1], [-1, 0]], "C": [[1, 0, 0], [0, 1, 0]]})),
         ("matrix", "fz-mutate", "--k", "1", "--btilde",
          json.dumps({"B": [[0, 1], [1, 0]], "C": [[1, 0], [0, 1]]})),
+        *WRONG_SHAPES,
     ],
 )
 def test_malformed_tree_and_exchange_payloads_are_domain_errors(args):
@@ -345,6 +362,8 @@ def test_malformed_tree_and_exchange_payloads_are_domain_errors(args):
     err = json.loads(out.stderr)
     assert err["error"] == "CobinaryError"
     assert re.match(r"malformed (tree|exchange matrix) object: ", err["message"])
+    if args in WRONG_SHAPES:
+        assert err["message"] == WRONG_SHAPES[args]
 
 
 def test_arity_violation_reports_exact_json_on_stderr():

@@ -9,7 +9,7 @@ from itertools import permutations as all_perms
 import pytest
 
 import cobinary as cb
-from cobinary import Root, clusters, exchange, linalg
+from cobinary import Root, exchange, linalg
 
 from conftest import (
     CLU_C_ROWS,
@@ -20,7 +20,12 @@ from conftest import (
     guarded,
     sha256_lines,
 )
-from oracles import enumerate_clusters_bruteforce, root_euler, stability_by_products
+from oracles import (
+    enumerate_clusters_bruteforce,
+    euler_form,
+    root_euler,
+    stability_by_products,
+)
 
 RIGHT_CHAIN = (1, -1, -1, 1)  # three-vertex quiver with both arrows rightward
 
@@ -105,23 +110,23 @@ def test_euler_form_of_a_root_with_itself_is_one():
         for eps in all_epsilons(n):
             for root in cb.positive_roots(n):
                 vec = root.vector(n)
-                assert cb.euler_form(eps, vec, vec) == 1
+                assert euler_form(eps, vec, vec) == 1
 
 
 def test_euler_form_right_chain_golden():
     beta = (0, 1, 1)
     e = cb.euler_matrix(RIGHT_CHAIN)
     assert linalg.mat_vec(e, beta) == (-1, 0, 1)
-    assert cb.euler_form(RIGHT_CHAIN, (1, 0, 0), beta) == -1
+    assert euler_form(RIGHT_CHAIN, (1, 0, 0), beta) == -1
 
 
 def test_euler_form_zero_vector():
-    assert cb.euler_form(RIGHT_CHAIN, (0, 0, 0), (5, -2, 7)) == 0
+    assert euler_form(RIGHT_CHAIN, (0, 0, 0), (5, -2, 7)) == 0
 
 
 def test_euler_form_length_mismatch():
     with pytest.raises(ValueError):
-        cb.euler_form(RIGHT_CHAIN, (1, 0), (0, 1, 0))
+        euler_form(RIGHT_CHAIN, (1, 0), (0, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +442,12 @@ def test_stability_on_lifts_matches_the_dense_products():
 def test_compatibility_rows_match_the_euler_form_on_every_root_pair():
     for n in range(2, 8):
         for eps in all_epsilons(n):
-            counts = exchange._arrow_counts(eps)
+            counts = exchange.quiver(eps).arrow_counts
             roots = cb.almost_positive_roots(eps)
             vectors = [r.vector(n) for r in roots]
-            assert list(clusters._root_positions(eps)) == vectors
+            assert list(exchange.quiver(eps).positions) == vectors
             for at, u in enumerate(roots):
-                row = clusters._compatibility_row(eps, at)
+                row = exchange.quiver(eps).compatibility(at)
                 assert row >> len(roots) == 0
                 for b, v in enumerate(roots):
                     rule = v.sign == -1 or root_euler(counts, u, v) >= 0

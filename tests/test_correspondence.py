@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary import clusters, correspondence, exchange, linalg, verify
+from cobinary import correspondence, exchange, linalg, verify
 
 from conftest import (
     CLU_C_ROWS,
@@ -30,6 +30,7 @@ from conftest import (
 )
 from oracles import (
     cluster_violation_by_matrix,
+    euler_form,
     mutate_c_columns,
     pairing_by_product,
     rankings_with_tie_breaks,
@@ -368,12 +369,12 @@ def test_telescoping_pairing_agrees_with_the_matrix_product():
 def test_interval_euler_form_is_the_matrix_euler_form():
     for n in range(2, 9):
         for eps in all_epsilons(n):
-            counts = exchange._arrow_counts(eps)
+            counts = exchange.quiver(eps).arrow_counts
             roots = cb.almost_positive_roots(eps)
             vectors = [r.vector(n) for r in roots]
             for u, a in zip(vectors, roots):
                 for v, b in zip(vectors, roots):
-                    assert root_euler(counts, a, b) == cb.euler_form(eps, u, v)
+                    assert root_euler(counts, a, b) == euler_form(eps, u, v)
 
 
 def test_cluster_violation_matches_the_matrix_route():
@@ -406,7 +407,7 @@ def test_decode_table_is_the_euler_product_and_the_shifted_lift():
             for at, row in enumerate(rows):
                 lift = cb.f_lift(row)
                 expected = (row, tuple(x - min(lift) for x in lift))
-                assert clusters._euler_row(eps, at) == expected
+                assert exchange.quiver(eps).euler_row(at) == expected
 
 
 def test_rebuild_ranks_as_the_first_tied_ranking():

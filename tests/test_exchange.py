@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary import linalg
+from cobinary import exchange, linalg
 
 from conftest import (
     CLU_E,
@@ -21,7 +22,12 @@ from conftest import (
     MUT_K,
     all_epsilons,
 )
-from oracles import exchange_matrix_by_products, fz_mutate_dense
+from oracles import (
+    euler_form,
+    euler_matrix_by_arrows,
+    exchange_matrix_by_products,
+    fz_mutate_dense,
+)
 
 # ---------------------------------------------------------------------------
 # Euler and X matrices
@@ -69,10 +75,17 @@ def test_euler_matrix_ignores_boundary_signs():
 
 
 def test_euler_matrix_needs_two_nodes():
-    with pytest.raises(ValueError):
-        cb.euler_matrix((1,))
-    with pytest.raises(ValueError):
-        cb.x_matrix((-1,))
+    tables = (
+        cb.euler_matrix,
+        cb.euler_inverse,
+        cb.x_matrix,
+        cb.projective_roots,
+        cb.almost_positive_roots,
+    )
+    for table in tables:
+        for eps in ((1,), (-1,)):
+            with pytest.raises(ValueError, match=r"^the quiver needs n >= 2$"):
+                table(eps)
 
 
 def test_euler_inverse_is_nonnegative_everywhere():
@@ -103,6 +116,47 @@ def test_x_matrix_superdiagonal_pattern():
 def test_x_matrix_is_e_minus_e_transpose():
     x = cb.x_matrix(CLU_EPS)
     assert x == linalg.mat_sub(CLU_E, linalg.transpose(CLU_E))
+
+
+# ---------------------------------------------------------------------------
+# the one cache: a bounded table object per sign sequence
+# ---------------------------------------------------------------------------
+
+
+def test_the_quiver_cache_stops_at_its_bound():
+    for eps in all_epsilons(8)[: exchange._QUIVERS + 10]:
+        exchange.quiver(eps)
+    assert exchange.quiver.cache_info().currsize == exchange._QUIVERS
+    assert exchange.quiver.cache_info().maxsize == exchange._QUIVERS
+
+
+def test_an_evicted_sign_sequence_rebuilds_tables_equal_to_the_oracles():
+    eps = (1, -1, -1, 1, -1, 1)
+    n = len(eps)
+    first = exchange.quiver(eps)
+    first.compatibility(0)
+    for other in all_epsilons(8)[: exchange._QUIVERS]:
+        exchange.quiver(other)
+    again = exchange.quiver(eps)
+    assert again is not first
+    e = euler_matrix_by_arrows(eps)
+    inverse = linalg.inverse_integer(e)
+    assert again.euler == e
+    assert again.euler_inverse == inverse
+    roots = [*cb.positive_roots(n), *(-cb.root_from_vector(row) for row in inverse)]
+    vectors = [r.vector(n) for r in roots]
+    assert list(again.positions.items()) == [(v, at) for at, v in enumerate(vectors)]
+    for at, u in enumerate(vectors):
+        row = linalg.vec_mat(u, e)
+        lift = tuple(accumulate(row, initial=0))
+        assert again.euler_row(at) == (row, tuple(x - min(lift) for x in lift))
+        bits = sum(
+            1 << b
+            for b, (v, root) in enumerate(zip(vectors, roots))
+            if root.sign == -1 or euler_form(eps, u, v) >= 0
+        )
+        assert again.compatibility(at) == bits
+        assert first.compatibility(at) == bits
 
 
 # ---------------------------------------------------------------------------

