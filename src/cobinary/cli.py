@@ -75,11 +75,11 @@ def _load_payload(arg: str) -> Any:
         try:
             with open(arg, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {arg!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"invalid JSON payload: {exc}") from exc
 
 

@@ -137,31 +137,33 @@ def enumerate_clusters(epsilon: Sequence[int]) -> list[ClusterMatrix]:
 
     Compatibility is a pairwise condition, so the clusters are exactly the
     (n-1)-cliques of the compatibility graph on the almost positive roots.
-    Each clique grows from the later roots compatible with all its members.
+    The roots are ranked by vector, and each clique grows only by later
+    roots compatible with all its members, smallest first.  So every clique
+    lists its columns in ascending order, and the walk meets the cliques in
+    lexicographic order: they come out already sorted.
     """
     eps = as_sign_sequence(epsilon)
     n = len(eps)
     if n == 1:
         return [ClusterMatrix(())]
     tables = quiver(eps)
-    vectors = list(tables.positions)  # in table order
-    rows = [tables.compatibility(at) for at in range(len(vectors))]
-    compatible = [  # bit v of row u when u and v are compatible both ways
-        sum(1 << v for v, other in enumerate(rows) if row >> v & other >> u & 1)
-        for u, row in enumerate(rows)
+    vectors = sorted(tables.positions)
+    at = [tables.positions[v] for v in vectors]
+    rows = [tables.compatibility(a) for a in at]
+    later = [  # bit j > i of row i when roots i and j are compatible both ways
+        sum(1 << j for j in range(i + 1, len(at)) if row >> at[j] & rows[j] >> at[i] & 1)
+        for i, row in enumerate(rows)
     ]
     found: list[ClusterMatrix] = []
-
-    def grow(clique: list[int], candidates: list[int]) -> None:
-        need = n - 1 - len(clique)
-        if need == 0:
-            found.append(ClusterMatrix(tuple(sorted(vectors[i] for i in clique))))
-            return
-        for at, c in enumerate(candidates[: len(candidates) - need + 1]):
-            grow(clique + [c], [d for d in candidates[at + 1 :] if compatible[c] >> d & 1])
-
-    grow([], list(range(len(vectors))))
-    found.sort(key=lambda v: v.columns)
+    stack = [((), (1 << len(vectors)) - 1)]  # (clique, its candidates)
+    while stack:
+        clique, candidates = stack.pop()
+        if len(clique) == n - 1:
+            found.append(ClusterMatrix(tuple(vectors[i] for i in clique)))
+        elif candidates.bit_count() >= n - 1 - len(clique):
+            c = (candidates & -candidates).bit_length() - 1  # the smallest
+            stack.append((clique, candidates ^ 1 << c))  # cliques without c: later
+            stack.append((clique + (c,), candidates & later[c]))  # with c: next
     return found
 
 

@@ -161,21 +161,13 @@ def _floors(point: Sequence[Fraction]) -> list[int]:
     return [(a << _KEY_BITS) // b for a, b in map(Fraction.as_integer_ratio, point)]
 
 
-def _keys(point: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
-    """The pairs (floor(2**64 * x_i), x_i) of a point of Fractions, the one
-    key by which rational coordinates are compared.  The floor of an
-    increasing map is monotone, so the pairs compare exactly as the x_i do
-    and are equal exactly when the x_i are.  Coordinates at least 2**-64
-    apart are told apart by the integers alone; only closer ones compare
-    their Fractions.  Nothing is rounded."""
-    return tuple(zip(_floors(point), point))
-
-
 def _sort_keys(point: Sequence[Fraction]) -> Sequence:
-    """The floors (:func:`_floors`) when they are pairwise distinct, else the
-    pairs (:func:`_keys`).  Distinct floors already order the point exactly
-    as its coordinates, so a Fraction is compared or hashed only when two
-    floors tie.  Either way the keys are distinct exactly when the x_i are."""
+    """The point's sort keys: the floors (:func:`_floors`) when they are
+    pairwise distinct, else the pairs (floor(2**64 * x_i), x_i).  The floor
+    of an increasing map is monotone, so distinct floors order the point
+    exactly as x does, and the pairs compare and tie exactly as the x_i do.
+    A Fraction is compared or hashed only when two floors tie; either way
+    the keys are distinct exactly when the x_i are.  Nothing is rounded."""
     floors = _floors(point)
     if len(set(floors)) == len(floors):
         return floors

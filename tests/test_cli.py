@@ -399,3 +399,37 @@ def test_domain_error_reports_json_on_stderr(tmp_path):
 def test_missing_file_is_usage_error():
     out = run_cli("trees", "perms", "--tree", "/no/such/file.json")
     assert out.returncode == 2
+
+
+# Payload files that cannot be read as text, or whose JSON nests deeper than
+# the recursion limit, with the message prefix each must give.  The prefix
+# alone is checked: the RecursionError text differs between Python versions.
+UNREADABLE_PAYLOADS = {
+    "latin1.json": (b'{"epsilon": [1, 1], "edges": [], "\xe9": 1}', "cannot read "),
+    "deep.json": (b"[" * 100_000, "invalid JSON payload: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_PAYLOADS))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("trees", "perms", "--tree"),
+        ("trees", "mutate", "--k", "1", "--tree"),
+        ("matrix", "exchange", "--tree"),
+        ("matrix", "fz-mutate", "--k", "1", "--btilde"),
+        ("clusters", "c-matrix", "--epsilon", "1,1,1", "--cluster"),
+        ("bij", "to-tree", "--epsilon", "1,1,1", "--cluster"),
+        ("bij", "to-cluster", "--tree"),
+    ],
+)
+def test_unreadable_payload_files_are_usage_errors(tmp_path, command, name):
+    data, prefix = UNREADABLE_PAYLOADS[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    out = run_cli(*command, str(path))
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    err = json.loads(out.stderr)
+    assert err["error"] == "usage"
+    assert err["message"].startswith(prefix), err["message"]

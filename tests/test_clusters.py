@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import random
+import weakref
 from fractions import Fraction
 from itertools import permutations as all_perms
 
@@ -491,6 +494,46 @@ def test_enumerate_clusters_is_pinned():
         for eps in all_epsilons(n)
     )
     assert sha256_lines(lines) == PINNED_SHA256["enumerate_clusters"]
+
+
+# sha256 of repr([c.columns for c in enumerate_clusters(eps)]) above the
+# exhaustive pin's n <= 7, taken from an enumeration that sorted each
+# clique's columns and then the whole list: the walk must emit that order.
+LARGER_CLUSTER_SHA256 = {
+    (1, 1, 1, 1, 1, 1, 1, 1):
+        "d187cd11bf4eea8c48e438e224fc7f3a5cf989696b6417ebd40e5193cf082495",
+    (1, -1, 1, -1, 1, -1, 1, -1):
+        "1d9b100d4be3505d4ae7db3aff9e4dd6dfe2c26aba2e4394cc5ce36f16cf4b58",
+    (1, 1, -1, 1, -1, -1, 1, -1):
+        "5000c144df32068bf0377c6df6a4edc6b564fa6427e3c9ce4c1e9beffc5711c2",
+    (1, -1, 1, -1, 1, -1, 1, -1, 1):
+        "666fb95f347b36ccadba008fe60e947518808e928417d4c6579c574aa8c7f09d",
+    (-1, 1, 1, -1, -1, -1, 1, 1, -1):
+        "b41cfd00325e4c58c96a333d74b1fc782c3c803ee81c3e40ec285b8460d2faae",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(LARGER_CLUSTER_SHA256))
+def test_enumerate_clusters_is_pinned_at_n_8_and_9(eps):
+    columns = [c.columns for c in cb.enumerate_clusters(eps)]
+    assert len(columns) == cb.catalan(len(eps))
+    digest = hashlib.sha256(repr(columns).encode()).hexdigest()
+    assert digest == LARGER_CLUSTER_SHA256[eps]
+
+
+def test_a_dropped_cluster_list_is_freed_without_the_cycle_collector():
+    # Reference counting alone must free the result: the walk leaves no
+    # reference cycle that holds the list alive.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = cb.enumerate_clusters((1, -1, 1, 1, -1))
+        first = weakref.ref(found[0])
+        del found
+        assert first() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_projective_roots_are_pinned():

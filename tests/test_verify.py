@@ -114,7 +114,7 @@ def test_trees_missing_on_keys_matches_the_lcm_scaled_point():
                 if not distinct:
                     continue
                 expected = missing_by_lcm(masks, x)
-                missing = verify._trees_missing(masks, regions._keys(x))
+                missing = verify._trees_missing(masks, tuple(zip(regions._floors(x), x)))
                 assert missing == expected, (eps, x)
                 missing = verify._trees_missing(masks, regions._sort_keys(x))
                 assert missing == expected, (eps, x)
