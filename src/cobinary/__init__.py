@@ -14,7 +14,6 @@ from .clusters import (
     cluster_violation,
     enumerate_clusters,
     initial_cluster,
-    is_cluster_matrix,
     projective_roots,
     stability_domain_contains,
     subroots,
@@ -57,7 +56,6 @@ from .regions import (
     RegionPoint,
     as_region_point,
     c_matrix,
-    c_vector,
     locate_tree,
     mutate,
     mutation_sequence,

@@ -55,16 +55,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _split(text: str) -> list[str]:
+    """The comma-separated fields of text; an empty one raises ValueError,
+    so a stray comma cannot change the length of a list."""
+    fields = text.split(",")
+    if "" in fields:
+        raise ValueError("empty field")
+    return fields
+
+
 def _parse_epsilon(text: str) -> tuple[int, ...]:
     try:
-        return as_sign_sequence([int(tok) for tok in text.split(",") if tok])
+        return as_sign_sequence([int(tok) for tok in _split(text)])
     except ValueError as exc:
         raise UsageError(f"bad --epsilon value {text!r}: {exc}") from exc
 
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [int(tok) for tok in _split(text)]
     except ValueError as exc:
         raise UsageError(f"bad integer list {text!r}") from exc
 
@@ -183,7 +192,7 @@ def _cmd_clusters_c_matrix(args) -> int:
 def _cmd_clusters_stability(args) -> int:
     eps = _parse_epsilon(args.epsilon)
     try:
-        weight_vector = [_read_fraction(tok) for tok in args.v.split(",") if tok]
+        weight_vector = [_read_fraction(tok) for tok in _split(args.v)]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --v value {args.v!r}: {exc}") from exc
     try:

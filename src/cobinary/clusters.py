@@ -120,13 +120,6 @@ def cluster_violation(
     return None
 
 
-def is_cluster_matrix(
-    candidate: ClusterMatrix | Sequence[Sequence[int]],
-    epsilon: Sequence[int],
-) -> bool:
-    return cluster_violation(candidate, epsilon) is None
-
-
 def initial_cluster(epsilon: Sequence[int]) -> ClusterMatrix:
     """Columns are the projective roots: the inverse transposed Euler matrix."""
     return ClusterMatrix(projective_roots(epsilon))

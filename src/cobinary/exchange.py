@@ -46,10 +46,6 @@ class ExchangeMatrix:
     def size(self) -> int:
         return len(self.b_rows)
 
-    @property
-    def c_columns(self) -> tuple[tuple[int, ...], ...]:
-        return linalg.transpose(self.c_rows)
-
 
 _QUIVERS = 64  # sign sequences whose tables stay cached at once
 

@@ -82,14 +82,10 @@ class CMatrix(linalg.ColumnMatrix):
         return linalg.det(self.rows)
 
 
-def c_vector(tree: MixedCobinaryTree, k: int) -> tuple[int, ...]:
-    """slope * (e_p + ... + e_{q-1}) for edge k."""
-    return _block_vector(tree.n, *tree.edge_triple(k))
-
-
 def c_matrix(tree: MixedCobinaryTree) -> CMatrix:
-    """Column k is c_vector(tree, k), read straight off the tree's edge
-    triples, which the tree validated when it was built."""
+    """Column k is edge k's c-vector slope * (e_p + ... + e_{q-1}), read
+    straight off the tree's edge triples, which the tree validated when it
+    was built."""
     return CMatrix(tuple(_block_vector(tree.n, *t) for t in tree.edge_triples()))
 
 

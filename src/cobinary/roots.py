@@ -39,9 +39,6 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(self.p, self.q, -self.sign)
 
-    def __abs__(self) -> "Root":
-        return Root(self.p, self.q, 1)
-
 
 def root_from_vector(vec: Sequence[int]) -> Root:
     """Decode +-(e_p + ... + e_{q-1}); raises NotARoot otherwise."""

@@ -4,7 +4,9 @@ Trees serialize as {"n", "epsilon", "edges": [{"i", "p", "q", "slope"}]}
 with edges in label order; c-matrices and cluster matrices as arrays of
 columns; exchange matrices as {"B": rows, "C": rows}; exact rational
 points as arrays of "numerator/denominator" strings.  Output key order is
-fixed so identical values serialize to identical bytes.
+fixed so identical values serialize to identical bytes.  Points and
+c-matrices are only written here; regions.as_region_point and CMatrix read
+them back.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .clusters import ClusterMatrix
 from .errors import CobinaryError
 from .exchange import ExchangeMatrix
 from .linalg import as_ints
-from .regions import CMatrix, RegionPoint, as_region_point
+from .regions import CMatrix, as_region_point
 from .trees import BinaryTree, MixedCobinaryTree, SignedEdge, make_tree
 
 
@@ -69,26 +71,19 @@ def cmatrix_to_obj(cmat: CMatrix) -> list[list[int]]:
     return [list(col) for col in cmat.columns]
 
 
-def _int_columns(obj: Any, what: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(obj, list) or not all(isinstance(col, list) for col in obj):
-        raise ValueError(f"a {what} is an array of columns")
-    try:
-        return tuple(map(as_ints, obj))
-    except ValueError as exc:
-        raise ValueError(f"{what} entries must be integers") from exc
-
-
-def cmatrix_from_obj(obj: Any) -> CMatrix:
-    return CMatrix(_int_columns(obj, "c-matrix"))
-
-
 def cluster_to_obj(cluster: ClusterMatrix) -> list[list[int]]:
     return [list(col) for col in cluster.columns]
 
 
 def cluster_from_obj(obj: Any) -> ClusterMatrix:
     """An array of integer columns, as many as each is long; else ValueError."""
-    return ClusterMatrix(_int_columns(obj, "cluster matrix"))
+    if not isinstance(obj, list) or not all(isinstance(col, list) for col in obj):
+        raise ValueError("a cluster matrix is an array of columns")
+    try:
+        columns = tuple(map(as_ints, obj))
+    except ValueError as exc:
+        raise ValueError("cluster matrix entries must be integers") from exc
+    return ClusterMatrix(columns)
 
 
 def exchange_to_obj(ex: ExchangeMatrix) -> dict[str, list[list[int]]]:
@@ -111,14 +106,6 @@ def exchange_from_obj(obj: Any) -> ExchangeMatrix:
 
 def point_to_obj(x: Sequence) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in as_region_point(x)]
-
-
-def point_from_obj(obj: Sequence) -> RegionPoint:
-    """Exact coordinates: JSON integers and "a/b" strings, else CobinaryError."""
-    try:
-        return as_region_point(obj)
-    except ValueError as exc:
-        raise CobinaryError(str(exc)) from exc
 
 
 def binary_tree_to_obj(bt: BinaryTree | None) -> list | None:

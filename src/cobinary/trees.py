@@ -262,9 +262,6 @@ class BinaryTree:
     def __hash__(self) -> int:
         return hash(self.shape())
 
-    def internal_count(self) -> int:
-        return sum(self.shape())
-
 
 def catalan(n: int) -> int:
     """The n-th Catalan number, exactly.  C_0 = 1 by convention.

@@ -21,8 +21,8 @@ from cobinary import (
     as_region_point,
     as_sign_sequence,
     c_matrix,
+    cluster_violation,
     euler_matrix,
-    is_cluster_matrix,
     is_root_vector,
     linalg,
     projective_roots,
@@ -43,7 +43,7 @@ def enumerate_clusters_bruteforce(epsilon: Sequence[int]) -> list[ClusterMatrix]
     vectors = [r.vector(n) for r in almost_positive_roots(eps)]
     found = []
     for subset in combinations(sorted(vectors), n - 1):
-        if is_cluster_matrix(subset, eps):
+        if cluster_violation(subset, eps) is None:
             found.append(ClusterMatrix(subset))
     found.sort(key=lambda v: v.columns)
     return found

@@ -149,7 +149,7 @@ def test_05_pinned_five_node_mutation_pair():
     cols[1] = tuple(a + b for a, b in zip(cols[1], third))
     cols[3] = tuple(a + b for a, b in zip(cols[3], third))
     cols[2] = tuple(-a for a in third)
-    ok = ok and tuple(cols) == via_fz.c_columns
+    ok = ok and tuple(cols) == linalg.transpose(via_fz.c_rows)
     ok = ok and cb.fz_mutate(via_fz, MUT_K).c_rows == MUT_C_ROWS
     _report(5, "pinned five-node mutation pair reproduced exactly", ok, started)
 

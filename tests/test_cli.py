@@ -115,7 +115,7 @@ def test_clusters_enumerate_and_c_matrix(tmp_path):
         "--epsilon", "-1,1,-1,1,1",
     )
     assert cmat.returncode == 0
-    got = serialize.cmatrix_from_obj(json.loads(cmat.stdout))
+    got = cb.CMatrix(json.loads(cmat.stdout))
     expected = cb.classical_c_matrix(
         serialize.cluster_from_obj(listing[0]), CLU_EPS
     )
@@ -259,6 +259,15 @@ THREE_NODE_TREE = (
         ("nope",),
         (),
         ("trees", "enumerate", "--epsilon", "1,1", "--nope"),
+        # A stray comma is an empty field, not a shorter list.
+        ("trees", "enumerate", "--epsilon", "1,,1"),
+        ("trees", "enumerate", "--epsilon", "1,1,"),
+        ("trees", "enumerate", "--epsilon", ",1"),
+        ("trees", "from-perm", "--sigma", "2,,1", "--epsilon", "1,1,"),
+        ("trees", "from-perm", "--sigma", "2,,1", "--epsilon", "1,1"),
+        ("trees", "mutate", "--tree", THREE_NODE_TREE, "--k", "1", "--seq", "1,,1"),
+        ("clusters", "stability", "--epsilon", "1,-1,-1,1", "--p", "2", "--q", "4",
+         "--v", "3,,5,3"),
     ],
 )
 def test_bad_values_are_json_usage_errors(args):

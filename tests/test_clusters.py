@@ -204,18 +204,18 @@ def test_subroots_require_positive_root():
 
 
 def test_demo_matrix_is_a_cluster(cluster_demo_matrix):
-    assert cb.is_cluster_matrix(cluster_demo_matrix, CLU_EPS)
+    assert cb.cluster_violation(cluster_demo_matrix, CLU_EPS) is None
 
 
 def test_initial_cluster_is_a_cluster():
     for n in range(2, 7):
         for eps in all_epsilons(n):
-            assert cb.is_cluster_matrix(cb.initial_cluster(eps), eps)
+            assert cb.cluster_violation(cb.initial_cluster(eps), eps) is None
 
 
 def test_repeated_column_is_not_a_cluster():
     cols = ((1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    assert not cb.is_cluster_matrix(cols, CLU_EPS)
+    assert cb.cluster_violation(cols, CLU_EPS) is not None
     assert "distinct" in cb.cluster_violation(cols, CLU_EPS)
 
 
@@ -231,7 +231,7 @@ def test_wrong_shape_is_not_a_cluster():
 def test_negative_non_projective_is_not_a_cluster():
     # -(0,1,0,0) is a negative root but not a negated projective row here.
     cols = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert not cb.is_cluster_matrix(cols, CLU_EPS)
+    assert cb.cluster_violation(cols, CLU_EPS) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def test_paired_roots_are_unique():
             for cluster in cb.enumerate_clusters(eps):
                 cmat = cb.classical_c_matrix(cluster, eps)
                 for i, col in enumerate(cmat.columns):
-                    beta_i = abs(cb.root_from_vector(col))
+                    beta_i = cb.root_from_vector([abs(x) for x in col])
                     matches = [
                         root
                         for root in cb.positive_roots(n)

@@ -122,7 +122,7 @@ def test_non_cluster_input_fails_verification():
     # the decoded c-matrix can never be realized by a tree.
     bad = cb.ClusterMatrix(((1, 0), (0, -1)))
     eps = (1, 1, 1)
-    assert not cb.is_cluster_matrix(bad, eps)
+    assert cb.cluster_violation(bad, eps) is not None
     with pytest.raises(cb.VerificationFailed):
         cb.cluster_to_tree(bad, eps)
 
@@ -201,7 +201,7 @@ def test_all_mutation_routes_agree():
                 for k in range(1, n):
                     surgery = cb.mutate(tree, k)
                     via_fz = cb.tree_from_c_matrix(
-                        cb.CMatrix(cb.fz_mutate(btilde, k).c_columns), eps
+                        cb.CMatrix(linalg.transpose(cb.fz_mutate(btilde, k).c_rows)), eps
                     )
                     via_recipe = cb.tree_from_c_matrix(
                         mutate_c_columns(tree, k), eps
@@ -444,7 +444,7 @@ def large_tree(draw):
 @given(large_tree())
 def test_tree_cluster_tree_round_trip_at_larger_n(tree):
     cluster = cb.tree_to_cluster(tree)
-    assert cb.is_cluster_matrix(cluster, tree.epsilon)
+    assert cb.cluster_violation(cluster, tree.epsilon) is None
     assert cb.verify_pairing_identity(tree, cluster)
     work = cb.cluster_to_tree_work(cluster, tree.epsilon)
     assert work.tree.edges == tree.edges
@@ -603,7 +603,7 @@ def test_decode_succeeds_exactly_on_clusters():
                             tree = cb.cluster_to_tree(candidate, eps)
                         except cb.VerificationFailed:
                             tree = None
-                        assert (tree is not None) == cb.is_cluster_matrix(cols, eps)
+                        assert (tree is not None) == (cb.cluster_violation(cols, eps) is None)
                         assert tree is None or cb.verify_pairing_identity(tree, candidate)
                         outcomes.add(tree is None)
     assert outcomes == {True, False}

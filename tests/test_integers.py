@@ -31,7 +31,7 @@ ENTRY_POINTS = {
     "Root": lambda x: cb.Root(x, 3),
     # Edge labels and mutation directions.
     "MixedCobinaryTree.edge": lambda x: cb.initial_tree((1, -1, 1)).edge(x),
-    "c_vector": lambda x: cb.c_vector(cb.initial_tree((1, -1, 1)), x),
+    "c_vector": lambda x: cb.c_matrix(cb.initial_tree((1, -1, 1))).column(x),
     "mutate": lambda x: cb.mutate(cb.initial_tree((1, -1, 1)), x),
     "wall_point": lambda x: cb.wall_point(cb.initial_tree((1, -1, 1)), x),
     "CMatrix.column": lambda x: cb.CMatrix(((1, 0), (1, 1))).column(x),
@@ -173,7 +173,7 @@ def test_integer_input_gives_the_same_results():
     assert linalg.det(((1, 2), (3, 4))) == -2
     assert linalg.inverse_integer(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
     tree = cb.initial_tree((1, -1, 1))
-    assert cb.c_vector(tree, 2) == (0, 1)
+    assert cb.c_matrix(tree).column(2) == (0, 1)
     assert cb.CMatrix(((1, 0), (1, 1))).column(2) == (1, 1)
     assert euler_form((1, -1, 1), (1, 0), (1, 0)) == 1
 

@@ -36,21 +36,21 @@ from oracles import (
 
 
 def test_c_vector_golden(mutation_demo_tree):
-    assert cb.c_vector(mutation_demo_tree, 1) == (-1, -1, 0, 0)
+    assert cb.c_matrix(mutation_demo_tree).column(1) == (-1, -1, 0, 0)
 
 
 def test_c_vector_of_staircase_is_unit():
     for eps in all_epsilons(5):
         t0 = cb.initial_tree(eps)
         for k in range(1, 5):
-            assert cb.c_vector(t0, k) == tuple(int(i == k) for i in range(1, 5))
+            assert cb.c_matrix(t0).column(k) == tuple(int(i == k) for i in range(1, 5))
 
 
 def test_c_vector_cluster_demo(cluster_demo_tree):
     relabelled = cluster_demo_tree.relabelled(
         [(1, 4, 1), (3, 4, -1), (1, 2, -1), (4, 5, -1)]
     )
-    assert cb.c_vector(relabelled, 1) == (1, 1, 1, 0)
+    assert cb.c_matrix(relabelled).column(1) == (1, 1, 1, 0)
     assert cb.c_matrix(relabelled).rows == CLU_C_ROWS
 
 
@@ -60,7 +60,7 @@ def test_c_matrix_and_c_vectors_match_the_root_oracle():
             for tree in cb.enumerate_trees(eps):
                 expected = c_matrix_by_roots(tree)
                 assert cb.c_matrix(tree) == expected
-                assert tuple(cb.c_vector(tree, k) for k in range(1, n)) == expected.columns
+                assert tuple(cb.c_matrix(tree).column(k) for k in range(1, n)) == expected.columns
 
 
 def test_c_matrix_golden_pair(mutation_demo_tree):
@@ -70,9 +70,9 @@ def test_c_matrix_golden_pair(mutation_demo_tree):
 
 def test_c_vector_index_range(mutation_demo_tree):
     with pytest.raises(IndexError):
-        cb.c_vector(mutation_demo_tree, 5)
+        cb.c_matrix(mutation_demo_tree).column(5)
     with pytest.raises(IndexError):
-        cb.c_vector(mutation_demo_tree, 0)
+        cb.c_matrix(mutation_demo_tree).column(0)
     cmat = cb.c_matrix(mutation_demo_tree)
     for k in (0, 5):
         with pytest.raises(IndexError, match="out of range 1..4"):

@@ -50,7 +50,7 @@ def test_c_matrix_round_trip():
     cmat = cb.c_matrix(cb.make_tree(MUT_EPS, MUT_EDGES))
     obj = serialize.cmatrix_to_obj(cmat)
     assert obj == [list(col) for col in cmat.columns]
-    assert serialize.cmatrix_from_obj(obj) == cmat
+    assert cb.CMatrix(obj) == cmat
 
 
 def test_exchange_round_trip():
@@ -70,21 +70,21 @@ def test_point_round_trip():
     point = (Fraction(1, 3), Fraction(-7, 2), Fraction(4))
     obj = serialize.point_to_obj(point)
     assert obj == ["1/3", "-7/2", "4/1"]
-    assert serialize.point_from_obj(obj) == point
-    assert serialize.point_from_obj([1, "2/5"]) == (Fraction(1), Fraction(2, 5))
+    assert cb.as_region_point(obj) == point
+    assert cb.as_region_point([1, "2/5"]) == (Fraction(1), Fraction(2, 5))
 
 
 def test_point_rejects_floats():
-    with pytest.raises(cb.CobinaryError):
-        serialize.point_from_obj([0.5])
+    with pytest.raises(ValueError):
+        cb.as_region_point([0.5])
 
 
 @pytest.mark.parametrize(
     "obj", [[1.5], [True], [False], ["x"], ["1/0"], [None], [[1]], [1, "2/"]]
 )
 def test_point_reads_only_integers_and_rational_strings(obj):
-    with pytest.raises(cb.CobinaryError, match="cannot read exact rational coordinate"):
-        serialize.point_from_obj(obj)
+    with pytest.raises(ValueError, match="cannot read exact rational coordinate"):
+        cb.as_region_point(obj)
 
 
 @pytest.mark.parametrize(
@@ -92,8 +92,9 @@ def test_point_reads_only_integers_and_rational_strings(obj):
     [[[1.5]], [[True]], [["1"]], [[None]], [1], {"a": [1]}, "[[1]]", [[1, 0], [0]]],
 )
 def test_c_matrix_reads_only_square_integer_columns(obj):
+    # Matrices of columns are read from JSON by the --cluster reader alone.
     with pytest.raises(ValueError):
-        serialize.cmatrix_from_obj(obj)
+        serialize.cluster_from_obj(obj)
 
 
 def test_dumps_is_compact_and_ordered():

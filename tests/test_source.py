@@ -84,3 +84,39 @@ def test_the_library_has_one_bounded_cache():
     text = (Path(cb.__file__).parent / "exchange.py").read_text()
     assert re.findall(r"lru_cache\((.*)\)", text) == ["maxsize=_QUIVERS"]
     assert 0 < cb.exchange._QUIVERS < 1000
+
+
+def _listed_api() -> set[str]:
+    """The names that README's list of caller-less API opens its items with."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.partition("\n## Public names that the library does not call\n")[2]
+    items = [
+        line.partition(":")[0]
+        for line in section.partition("\n## ")[0].splitlines()
+        if line.startswith("- ")
+    ]
+    names = [name for item in items for name in re.findall(r"`([\w.]+)`", item)]
+    return {name.rpartition(".")[2] for name in names}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # One public name per concept: a public top-level function or class that
+    # nothing else in the library reaches either repeats another name or is
+    # API on purpose, and README's list says why for each of the latter.
+    defined, used = set(), set()
+    for path in sorted(Path(cb.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.add(own)
+            used |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            } - {own}
+    uncalled, listed = defined - used, _listed_api()
+    assert sorted(uncalled - listed) == []
+    # A listed name that has gained a caller leaves the list.
+    assert sorted(listed - uncalled) == []

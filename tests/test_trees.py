@@ -551,7 +551,7 @@ def test_gravity_golden_shapes():
 def test_gravity_single_node():
     bt = cb.gravity_map(cb.tree_from_permutation((1,), (-1,)))
     assert bt == cb.BinaryTree(None, None)
-    assert bt.internal_count() == 1
+    assert sum(bt.shape()) == 1
 
 
 def test_gravity_is_a_bijection_for_each_sign_sequence():
@@ -596,14 +596,14 @@ def _has_shape(bt: cb.BinaryTree | None, obj: list | None) -> bool:
 def test_binary_tree_consumers_agree_with_recursive_walks():
     for n in range(1, 7):
         for bt in cb.binary_trees(n):
-            assert bt.internal_count() == _internal_nodes(bt) == n
+            assert sum(bt.shape()) == _internal_nodes(bt) == n
             assert binary_tree_to_obj(bt) == _shape(bt)
 
 
 @pytest.mark.parametrize("eps", [(1,) * 1500, (-1,) * 1500, (1, -1) * 750])
 def test_gravity_map_at_large_n(eps):
     bt = cb.gravity_map(cb.initial_tree(eps))
-    assert _internal_nodes(bt) == bt.internal_count() == len(eps)
+    assert _internal_nodes(bt) == sum(bt.shape()) == len(eps)
     assert _has_shape(bt, binary_tree_to_obj(bt))
 
 
