@@ -359,7 +359,8 @@ def test_paired_roots_are_unique():
             for cluster in cb.enumerate_clusters(eps):
                 cmat = cb.classical_c_matrix(cluster, eps)
                 for i, col in enumerate(cmat.columns):
-                    beta_i = cb.root_from_vector([abs(x) for x in col])
+                    r = cb.root_from_vector(col)
+                    beta_i = cb.Root(r.p, r.q)
                     matches = [
                         root
                         for root in cb.positive_roots(n)
