@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, NoReturn, Sequence
 
@@ -265,23 +264,12 @@ def _cmd_bij_all(args) -> int:
     return 0 if all(entry["verified"] for entry in report) else DOMAIN_ERROR
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("COBINARY_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"COBINARY_SEED must be an integer, got {raw!r}") from exc
-
-
 def _cmd_verify_all(args) -> int:
     eps = _parse_epsilon(args.epsilon)
     if args.samples < 1:
         raise UsageError(f"bad --samples value {args.samples}: need at least 1")
-    seed = args.seed if args.seed is not None else _default_seed()
     results, summary = verify.run_all(
-        eps, n_max=args.n_max, samples=args.samples, seed=seed
+        eps, n_max=args.n_max, samples=args.samples, seed=args.seed
     )
     print(summary)
     for result in results:
@@ -369,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest n checked exhaustively (default 6)")
     p.add_argument("--samples", type=int, default=1000,
                    help="sample count for randomized suites (default 1000)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: COBINARY_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed (default 0)")
     p.set_defaults(run=_cmd_verify_all)
 
     return parser

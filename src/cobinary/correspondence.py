@@ -53,8 +53,6 @@ from .trees import (
 
 def f_map(x: Sequence) -> tuple:
     """Consecutive differences (x_2 - x_1, ..., x_n - x_{n-1})."""
-    if len(x) < 2:
-        return ()
     return tuple(x[i + 1] - x[i] for i in range(len(x) - 1))
 
 
@@ -76,8 +74,6 @@ def _tied_rankings(x: Sequence, limit: int) -> tuple[Permutation, ...]:
 class BijectionWork:
     """Intermediate values of the cluster-to-tree construction."""
 
-    epsilon: tuple[int, ...]
-    cluster: ClusterMatrix
     vt_e_rows: linalg.IntMatrix
     lifted_rows: tuple[tuple[int, ...], ...]
     sum_vector: tuple[int, ...]
@@ -174,7 +170,7 @@ def cluster_to_tree_work(
         if cluster.columns:
             raise VerificationFailed("a single node pairs with the empty cluster")
         tree = tree_from_permutation((1,), eps)
-        return BijectionWork(eps, cluster, (), (), (1,), (1,), tree)
+        return BijectionWork((), (), (1,), (1,), tree)
     if len(cluster.columns) != n - 1:
         raise ValueError(f"{n} nodes pair with clusters of {n - 1} columns")
     tables = quiver(eps)
@@ -191,7 +187,7 @@ def cluster_to_tree_work(
     if sorted(crossing) == list(range(len(triples))):
         tree = tree.relabelled([triples[j] for j in crossing])
         if _telescopes(lifted, tree):
-            return BijectionWork(eps, cluster, vt_e, lifted, total, ranking, tree)
+            return BijectionWork(vt_e, lifted, total, ranking, tree)
     _name_failure(vt_e)
 
 

@@ -32,6 +32,7 @@ class Root:
 
     def vector(self, n: int) -> tuple[int, ...]:
         """Coordinates in Z^{n-1}."""
+        as_ints((n,))
         if self.q > n:
             raise ValueError(f"root ({self.p},{self.q}) does not fit in n={n}")
         return _block_vector(n, self.p, self.q, self.sign)
@@ -64,6 +65,7 @@ def is_root_vector(vec: Sequence[int]) -> bool:
 
 def positive_roots(n: int) -> Iterator[Root]:
     """All n(n-1)/2 positive roots, ordered by (p, q)."""
+    as_ints((n,))
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             yield Root(p, q, 1)
@@ -71,6 +73,7 @@ def positive_roots(n: int) -> Iterator[Root]:
 
 def interval_vector(p: int, q: int, n: int) -> tuple[int, ...]:
     """e_p + ... + e_{q-1} in Z^{n-1}; the zero vector when p == q."""
+    as_ints((p, q, n))
     if not 1 <= p <= q <= n:
         raise ValueError(f"need 1 <= p <= q <= n, got ({p}, {q}), n={n}")
     return _block_vector(n, p, q, 1)

@@ -101,10 +101,10 @@ class MixedCobinaryTree:
     """n signed nodes plus n-1 labelled signed edges, stored as one flat
     int tuple `flat`: (p, q, slope) of edge 1, then of edge 2, and so on.
 
-    `edges` and `edge(k)` build SignedEdge views of that tuple on each call;
-    the views are not kept.  Construction performs only cheap structural
-    checks, in one routine whichever way the tree is built; full validity
-    (the wall conditions) is enforced by :func:`make_tree`.
+    `edges` builds SignedEdge views of that tuple on each call; the views
+    are not kept.  Construction performs only cheap structural checks, in
+    one routine whichever way the tree is built; full validity (the wall
+    conditions) is enforced by :func:`make_tree`.
 
     `==`, `hash` and `<` compare `canonical_key`: n, epsilon and the sorted
     triples in one flat tuple, computed on first use and kept.  Instances
@@ -179,9 +179,6 @@ class MixedCobinaryTree:
     @property
     def edges(self) -> tuple[SignedEdge, ...]:
         return tuple(SignedEdge(i, *t) for i, t in enumerate(self.edge_triples(), 1))
-
-    def edge(self, k: int) -> SignedEdge:
-        return SignedEdge(k, *self.edge_triple(k))
 
     def edge_triple(self, k: int) -> EdgeTriple:
         """(p, q, slope) of edge k."""
@@ -269,6 +266,7 @@ def catalan(n: int) -> int:
     Python integers are arbitrary precision, so the result can never wrap;
     there is no overflow to detect.
     """
+    as_ints((n,))
     if n < 0:
         raise ValueError(f"catalan number undefined for n={n}")
     return comb(2 * n, n) // (n + 1)
@@ -592,6 +590,7 @@ def enumerate_trees(epsilon: Sequence[int]) -> list[MixedCobinaryTree]:
 def sign_sequences(n: int) -> Iterator[SignSequence]:
     """All 2^n sign sequences of length n.  The first sign turns fastest,
     -1 before 1: (-1, -1), (1, -1), (-1, 1), (1, 1)."""
+    as_ints((n,))
     return (s[::-1] for s in product((-1, 1), repeat=n))
 
 
@@ -662,6 +661,7 @@ def gravity_map(tree: MixedCobinaryTree) -> BinaryTree:
 
 def binary_trees(n: int) -> list[BinaryTree | None]:
     """All full binary trees with n internal nodes (None is a single leaf)."""
+    as_ints((n,))
     if n == 0:
         return [None]
     out: list[BinaryTree | None] = []

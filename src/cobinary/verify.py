@@ -322,6 +322,7 @@ def run_all(
     seed: int = 0,
 ) -> tuple[list[SuiteResult], str]:
     """Run every suite; returns the results and a one-line summary."""
+    linalg.as_ints((n_max, samples, seed))
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     eps = as_sign_sequence(epsilon)

@@ -213,7 +213,7 @@ def _moved_edges(
 def mutate_c_columns(tree: MixedCobinaryTree, k: int) -> CMatrix:
     """Column recipe for mutation at k: add column k to the columns of the
     moved edges, then negate column k."""
-    moved = {e.index for e in _moved_edges(tree, tree.edge(k)) if e is not None}
+    moved = {e.index for e in _moved_edges(tree, tree.edges[k - 1]) if e is not None}
     cmat = c_matrix(tree)
     ck = cmat.column(k)
     cols = []

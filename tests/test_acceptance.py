@@ -359,12 +359,12 @@ def test_12_property_suites():
             for tree in cb.enumerate_trees(eps):
                 b = cb.exchange_matrix(tree).b_rows
                 for k in range(1, n):
-                    ek = tree.edge(k)
+                    ek = tree.edges[k - 1]
                     for j in range(1, n):
                         if j == k:
                             ok = ok and b[k - 1][j - 1] == 0
                             continue
-                        ej = tree.edge(j)
+                        ej = tree.edges[j - 1]
                         entry = b[k - 1][j - 1]
                         if not ({ek.p, ek.q} & {ej.p, ej.q}):
                             ok = ok and entry == 0

@@ -211,11 +211,16 @@ def test_verify_is_seed_deterministic():
     b = run_cli("verify", "all", "--epsilon", "1,-1,1,-1", "--samples", "50",
                 "--seed", "7")
     assert a.stdout == b.stdout
+    seed_0 = run_cli("verify", "all", "--epsilon", "1,-1,1,-1", "--samples", "50",
+                     "--seed", "0")
+    # --seed is the only seed source: the environment changes nothing.
     via_env = run_cli(
         "verify", "all", "--epsilon", "1,-1,1,-1", "--samples", "50",
         env={"COBINARY_SEED": "7"},
     )
-    assert via_env.stdout == a.stdout
+    assert via_env.stdout == seed_0.stdout
+    bad_env = run_cli("verify", "all", "--epsilon", "1,-1", env={"COBINARY_SEED": "x"})
+    assert bad_env.returncode == 0
 
 
 def test_usage_error_exit_code():

@@ -237,7 +237,7 @@ def test_wall_points_pass_stability_small():
                 for k in range(1, n):
                     x, stable = cb.wall_stability_point(tree, k)
                     assert stable, (eps, tree.triples, k)
-                    edge = tree.edge(k)
+                    edge = tree.edges[k - 1]
                     assert x[edge.p - 1] == x[edge.q - 1]
                     assert cb.region_contains(tree, x, strict=False)
                     assert not cb.region_contains(tree, x, strict=True)

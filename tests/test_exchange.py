@@ -409,12 +409,12 @@ def test_principal_part_sign_laws():
             for tree in cb.enumerate_trees(eps):
                 b = cb.exchange_matrix(tree).b_rows
                 for k in range(1, n):
-                    ek = tree.edge(k)
+                    ek = tree.edges[k - 1]
                     for j in range(1, n):
                         if j == k:
                             assert b[k - 1][j - 1] == 0
                             continue
-                        ej = tree.edge(j)
+                        ej = tree.edges[j - 1]
                         entry = b[k - 1][j - 1]
                         shared = {ek.p, ek.q} & {ej.p, ej.q}
                         if not shared:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import cobinary as cb
-from cobinary import linalg, serialize
+from cobinary import linalg, serialize, verify
 
 from conftest import CLU_C_ROWS, CLU_EPS, CLU_V_COLS
 from oracles import euler_form
@@ -30,7 +30,7 @@ ENTRY_POINTS = {
     ),
     "Root": lambda x: cb.Root(x, 3),
     # Edge labels and mutation directions.
-    "MixedCobinaryTree.edge": lambda x: cb.initial_tree((1, -1, 1)).edge(x),
+    "MixedCobinaryTree.edge": lambda x: cb.initial_tree((1, -1, 1)).edge_triple(x),
     "c_vector": lambda x: cb.c_matrix(cb.initial_tree((1, -1, 1))).column(x),
     "mutate": lambda x: cb.mutate(cb.initial_tree((1, -1, 1)), x),
     "wall_point": lambda x: cb.wall_point(cb.initial_tree((1, -1, 1)), x),
@@ -51,6 +51,14 @@ ENTRY_POINTS = {
     ),
     "det": lambda x: linalg.det(((x, 0), (0, 1))),
     "inverse_integer": lambda x: linalg.inverse_integer(((x, 0), (0, 1))),
+    # Sizes, positions and counts.
+    "catalan": cb.catalan,
+    "sign_sequences": lambda x: list(cb.sign_sequences(x)),
+    "binary_trees": cb.binary_trees,
+    "positive_roots": lambda x: list(cb.positive_roots(x)),
+    "interval_vector": lambda x: cb.interval_vector(x, 2, 3),
+    "Root.vector": lambda x: cb.Root(1, 2).vector(x),
+    "run_all": lambda x: verify.run_all((1, -1, 1), n_max=3, samples=x),
 }
 
 

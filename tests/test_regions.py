@@ -409,7 +409,7 @@ def test_mutation_agrees_with_column_recipe_and_decode():
 def _adjacent_realization(tree: cb.MixedCobinaryTree, k: int):
     """A permutation realizing the tree in which edge k's endpoints take
     consecutive heights (lower endpoint first)."""
-    edge = tree.edge(k)
+    edge = tree.edges[k - 1]
     lo, hi = edge.lower, edge.upper
     for sigma in sorted(cb.permutations_of(tree)):
         if sigma[hi - 1] == sigma[lo - 1] + 1:
@@ -425,7 +425,7 @@ def test_mutation_agrees_with_height_swap_oracle():
             for tree in cb.enumerate_trees(eps):
                 for k in range(1, n):
                     sigma = _adjacent_realization(tree, k)
-                    edge = tree.edge(k)
+                    edge = tree.edges[k - 1]
                     swapped = list(sigma)
                     swapped[edge.lower - 1], swapped[edge.upper - 1] = (
                         swapped[edge.upper - 1],
@@ -442,7 +442,7 @@ def test_wall_midpoint_lies_on_the_wall():
             for tree in cb.enumerate_trees(eps):
                 for k in range(1, n):
                     sigma = _adjacent_realization(tree, k)
-                    edge = tree.edge(k)
+                    edge = tree.edges[k - 1]
                     mutated = cb.mutate(tree, k)
                     swapped = list(sigma)
                     swapped[edge.lower - 1], swapped[edge.upper - 1] = (

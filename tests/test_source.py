@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import cobinary as cb
@@ -86,17 +87,16 @@ def test_the_library_has_one_bounded_cache():
     assert 0 < cb.exchange._QUIVERS < 1000
 
 
-def _listed_api() -> set[str]:
-    """The names that README's list of caller-less API opens its items with."""
+def _listed(heading: str) -> list[str]:
+    """The names that the items of README's list under heading open with."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.partition("\n## Public names that the library does not call\n")[2]
+    section = readme.partition(f"\n## {heading}\n")[2]
     items = [
         line.partition(":")[0]
         for line in section.partition("\n## ")[0].splitlines()
         if line.startswith("- ")
     ]
-    names = [name for item in items for name in re.findall(r"`([\w.]+)`", item)]
-    return {name.rpartition(".")[2] for name in names}
+    return [name for item in items for name in re.findall(r"`([\w.]+)`", item)]
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -116,7 +116,37 @@ def test_every_public_name_has_a_caller_or_a_reason():
                 for node in ast.walk(top)
                 if isinstance(node, (ast.Name, ast.Attribute))
             } - {own}
-    uncalled, listed = defined - used, _listed_api()
+    uncalled = defined - used
+    listed = _listed("Public names that the library does not call")
+    listed = {name.rpartition(".")[2] for name in listed}
     assert sorted(uncalled - listed) == []
     # A listed name that has gained a caller leaves the list.
+    assert sorted(listed - uncalled) == []
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    # The same rule one level down: a public method or property of a public
+    # class that the library never reads as `.name`, outside its own
+    # definition, is named with its reason in README's second list.
+    methods, reads = [], Counter()
+    for path in sorted(Path(cb.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        reads.update(node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute))
+        methods += [
+            (f"{top.name}.{member.name}", member)
+            for top in module.body
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_")
+            for member in top.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        ]
+    uncalled = {
+        qualified
+        for qualified, member in methods
+        if reads[member.name] == sum(
+            isinstance(node, ast.Attribute) and node.attr == member.name
+            for node in ast.walk(member)
+        )
+    }
+    listed = set(_listed("Methods and properties that the library does not call"))
+    assert sorted(uncalled - listed) == []
     assert sorted(listed - uncalled) == []

@@ -152,8 +152,8 @@ def test_make_tree_keeps_caller_edge_labels():
         cb.SignedEdge(1, 2, 3, 1),
     ]
     tree = cb.make_tree((-1, -1, 1), edges)
-    assert tree.edge(1).triple == (2, 3, 1)
-    assert tree.edge(2).triple == (1, 2, 1)
+    assert tree.edge_triple(1) == (2, 3, 1)
+    assert tree.edge_triple(2) == (1, 2, 1)
 
 
 # Edge lists that mix SignedEdge values with triples, in either order.
