@@ -27,9 +27,10 @@ from .trees import (
     SignedEdge,
     _ranking,
     _tree_from_flat,
+    _tree_from_order,
+    as_sign_sequence,
     make_tree,
     slot_name,
-    tree_from_permutation,
 )
 
 RegionPoint = tuple[Fraction, ...]
@@ -64,7 +65,10 @@ def as_region_point(coords: Sequence) -> RegionPoint:
     """The library's one rational reader: an int that is not a bool, a
     Fraction (kept as it is) or an "a/b" string.  A float, a bool or an
     unreadable string raises ValueError; nothing is rounded."""
-    return tuple(c if type(c) is Fraction else _rational(c) for c in coords)
+    point = tuple(coords)
+    if {Fraction}.issuperset(map(type, point)):
+        return point
+    return tuple(c if type(c) is Fraction else _rational(c) for c in point)
 
 
 class CMatrix(linalg.ColumnMatrix):
@@ -135,20 +139,29 @@ def _contains(tree: MixedCobinaryTree, x: Sequence, strict: bool = True) -> bool
     return True
 
 
+def _height_order(keys: Sequence, distinct: bool = False) -> list[int]:
+    """The positions 0..n-1 of keys listed from the lowest up: the one sort
+    of a point, shared by :func:`rank_permutation` and :func:`locate_tree`.
+    Each adjacent pair of the order is scanned for a tie, which raises
+    TiedCoordinates, unless the caller has shown the keys pairwise
+    distinct already (`distinct`)."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if not distinct:
+        for a, b in zip(order, order[1:]):
+            if keys[a] == keys[b]:
+                raise TiedCoordinates(
+                    f"coordinates {a + 1} and {b + 1} are equal; the point lies on a wall"
+                )
+    return order
+
+
 def rank_permutation(x: Sequence) -> tuple[int, ...]:
     """sigma with sigma(i) the position of x_i in increasing order.
 
-    x may hold any mutually comparable values; :func:`locate_tree` passes
-    the point's sort keys (:func:`_sort_keys`), which sort exactly as x does.
-    Raises TiedCoordinates when two coordinates are equal.
+    x may hold any mutually comparable values.  Raises TiedCoordinates when
+    two coordinates are equal.
     """
-    order = sorted(range(len(x)), key=x.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if x[a] == x[b]:
-            raise TiedCoordinates(
-                f"coordinates {a + 1} and {b + 1} are equal; the point lies on a wall"
-            )
-    return _ranking(order)
+    return _ranking(_height_order(x))
 
 
 def _floors(point: Sequence[Fraction]) -> list[int]:
@@ -158,12 +171,13 @@ def _floors(point: Sequence[Fraction]) -> list[int]:
 
 
 def _sort_keys(point: Sequence[Fraction]) -> Sequence:
-    """The point's sort keys: the floors (:func:`_floors`) when they are
-    pairwise distinct, else the pairs (floor(2**64 * x_i), x_i).  The floor
-    of an increasing map is monotone, so distinct floors order the point
-    exactly as x does, and the pairs compare and tie exactly as the x_i do.
-    A Fraction is compared or hashed only when two floors tie; either way
-    the keys are distinct exactly when the x_i are.  Nothing is rounded."""
+    """The point's sort keys: the floors (:func:`_floors`) as a list when
+    they are pairwise distinct, else the pairs (floor(2**64 * x_i), x_i) as
+    a tuple.  The floor of an increasing map is monotone, so distinct floors
+    order the point exactly as x does, and the pairs compare and tie exactly
+    as the x_i do.  A Fraction is compared or hashed only when two floors
+    tie; either way the keys are distinct exactly when the x_i are.
+    Nothing is rounded."""
     floors = _floors(point)
     if len(set(floors)) == len(floors):
         return floors
@@ -171,14 +185,17 @@ def _sort_keys(point: Sequence[Fraction]) -> Sequence:
 
 
 def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
-    """The unique tree whose open region contains x, ranked and certified on
+    """The unique tree whose open region contains x, built from one sort of
     the point's sort keys (:func:`_sort_keys`), the bare floors unless two
-    of them tie.  Error messages are built from the Fractions."""
+    of them tie, and certified on those keys.  Only the pairs are scanned
+    for a tie: distinct floors already show distinct coordinates.  Error
+    messages are built from the Fractions."""
     point = as_region_point(x)
     if len(point) != len(epsilon):
         raise ValueError("point and sign sequence must have equal length")
     keyed = _sort_keys(point)
-    tree = tree_from_permutation(rank_permutation(keyed), epsilon)
+    order = _height_order(keyed, distinct=type(keyed) is list)
+    tree = _tree_from_order(order, as_sign_sequence(epsilon))
     if not _contains(tree, keyed):
         k, p, q, slope = next(
             (k, p, q, slope)

@@ -277,12 +277,12 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ranking(order: Sequence[int]) -> Permutation:
-    """The ranking sigma with sigma[order[r]] = r + 1: the heights, from 1,
-    of the 0-based positions that `order` lists from the lowest up.  The one
-    inverse of a permutation in the library."""
+def _ranking(order: Sequence[int], start: int = 1) -> Permutation:
+    """The ranking sigma with sigma[order[r]] = r + start: the heights,
+    from `start`, of the 0-based positions that `order` lists from the
+    lowest up.  The one inverse of a permutation in the library."""
     sigma = [0] * len(order)
-    for rank, i in enumerate(order, start=1):
+    for rank, i in enumerate(order, start):
         sigma[i] = rank
     return tuple(sigma)
 
@@ -291,6 +291,22 @@ def tree_from_permutation(
     sigma: Sequence[int], epsilon: Sequence[int]
 ) -> MixedCobinaryTree:
     """The unique tree realized by placing node i at height sigma(i).
+
+    Reads sigma and epsilon, checks that their lengths agree, and hands the
+    nodes from the lowest up to :func:`_tree_from_order`, the one builder.
+    """
+    eps = as_sign_sequence(epsilon)
+    perm = as_permutation(sigma)
+    if len(perm) != len(eps):
+        raise ValueError("permutation and sign sequence must have equal length")
+    return _tree_from_order(_ranking([h - 1 for h in perm], 0), eps)
+
+
+def _tree_from_order(order: Iterable[int], eps: SignSequence) -> MixedCobinaryTree:
+    """The tree realized by the 0-based positions 0..n-1 that `order` lists
+    from the lowest up (position k is node k + 1), for a sign sequence that
+    has been read already.  Every tree it builds goes through the flat
+    tuple's one check.
 
     Inserts the nodes from the lowest up on one sorted list of the walls
     that cross the current height: the fork-down nodes not yet placed, the
@@ -304,12 +320,7 @@ def tree_from_permutation(
     shifts the tail of the list, so a node costs O(log n) comparisons and a
     memmove of up to n pointers.
     """
-    eps = as_sign_sequence(epsilon)
-    perm = as_permutation(sigma)
-    n = len(perm)
-    if n != len(eps):
-        raise ValueError("permutation and sign sequence must have equal length")
-    order = _ranking([h - 1 for h in perm])  # the nodes from the lowest up
+    n = len(eps)
     walls = [0, *[k for k, s in zip(range(1, n + 1), eps) if s == 1], n + 1]
     # The pass by height keeps edge (p, q, slope) as p*m + 2q + [slope = 1],
     # so that the codes sort as the triples do.
@@ -317,6 +328,7 @@ def tree_from_permutation(
     m = 2 * n + 2
     codes = []
     for k in order:
+        k += 1
         i = bisect_left(walls, k)
         w = walls[i - 1]
         child = owner[w]
@@ -660,14 +672,18 @@ def gravity_map(tree: MixedCobinaryTree) -> BinaryTree:
 
 
 def binary_trees(n: int) -> list[BinaryTree | None]:
-    """All full binary trees with n internal nodes (None is a single leaf)."""
+    """All full binary trees with n internal nodes (None is a single leaf),
+    built once per size from the smallest up; trees of one size share
+    their subtrees."""
     as_ints((n,))
-    if n == 0:
-        return [None]
-    out: list[BinaryTree | None] = []
-    for i in range(n):
-        for left in binary_trees(i):
-            for right in binary_trees(n - 1 - i):
-                out.append(BinaryTree(left, right))
-    return out
-
+    if n < 0:
+        return []
+    by_size: list[list[BinaryTree | None]] = [[None]]
+    for size in range(1, n + 1):
+        by_size.append([
+            BinaryTree(left, right)
+            for i in range(size)
+            for left in by_size[i]
+            for right in by_size[size - 1 - i]
+        ])
+    return by_size[n]

@@ -11,6 +11,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from cobinary import (
+    BinaryTree,
     CMatrix,
     ClusterMatrix,
     ExchangeMatrix,
@@ -309,3 +310,17 @@ def missing_by_lcm(masks: dict, x: Sequence[Fraction]) -> int:
         if slope * (scaled[q - 1] - scaled[p - 1]) <= 0:
             out |= mask
     return out
+
+
+def binary_trees_by_recursion(n: int) -> list[BinaryTree | None]:
+    """All full binary trees with n internal nodes, by the recursive
+    definition: a root over every left subtree of size i and every right
+    subtree of size n - 1 - i, the sub-lists rebuilt for each pair."""
+    if n == 0:
+        return [None]
+    return [
+        BinaryTree(left, right)
+        for i in range(n)
+        for left in binary_trees_by_recursion(i)
+        for right in binary_trees_by_recursion(n - 1 - i)
+    ]

@@ -164,8 +164,8 @@ def test_locate_cluster_demo_point(cluster_demo_tree):
 
 def test_located_tree_is_checked(monkeypatch):
     monkeypatch.setattr(
-        "cobinary.regions.tree_from_permutation",
-        lambda sigma, eps: cb.initial_tree(eps),
+        "cobinary.regions._tree_from_order",
+        lambda order, eps: cb.initial_tree(eps),
     )
     # The staircase has x_1 < x_2 on edge 1; this point has x_2 < x_1.
     with pytest.raises(
@@ -176,7 +176,8 @@ def test_located_tree_is_checked(monkeypatch):
 
 def test_located_tree_is_checked_against_a_wrong_ranking(monkeypatch):
     monkeypatch.setattr(
-        "cobinary.regions.rank_permutation", lambda x: tuple(range(1, len(x) + 1))
+        "cobinary.regions._height_order",
+        lambda keys, distinct=False: list(range(len(keys))),
     )
     with pytest.raises(cb.VerificationFailed, match="misses x"):
         cb.locate_tree((2, 1, 5, 4, 3), CLU_EPS)
@@ -590,6 +591,18 @@ def test_membership_is_invariant_under_positive_scaling(case, k):
 def test_located_tree_contains_its_point_at_larger_n(case):
     x, eps = case
     assert cb.region_contains(cb.locate_tree(x, eps), x, strict=True)
+
+
+def test_locate_tree_at_n_20000_is_certified_and_rebuilds():
+    # Four times past any other test or workload: each node of the builder
+    # shifts up to n pointers of its sorted list of walls.
+    rng = random.Random(20000)
+    n = 20_000
+    eps = tuple(rng.choice((1, -1)) for _ in range(n))
+    x = _benchmark_point(rng, n)
+    tree = cb.locate_tree(x, eps)
+    assert cb.region_contains(tree, x)
+    assert cb.make_tree(eps, tree.edges).edges == tree.edges
 
 
 @st.composite

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cobinary as cb
-from cobinary import correspondence
+from cobinary import correspondence, trees
 from cobinary.serialize import binary_tree_to_obj, dumps, tree_to_obj
 
 from conftest import (
@@ -29,7 +29,7 @@ from conftest import (
     guarded,
     sha256_lines,
 )
-from oracles import tree_from_permutation_by_segments
+from oracles import binary_trees_by_recursion, tree_from_permutation_by_segments
 
 # ---------------------------------------------------------------------------
 # catalan
@@ -262,6 +262,25 @@ def test_reconstruction_matches_the_segment_oracle_at_large_n(sigma_kind, eps_ki
     }[sigma_kind]
     expected = tree_from_permutation_by_segments(sigma, eps).flat
     assert cb.tree_from_permutation(sigma, eps).flat == expected
+
+
+def test_builder_from_an_order_matches_the_permutation_route():
+    # _tree_from_order reads the 0-based positions from the lowest up, the
+    # order whose ranking tree_from_permutation reads; the segment oracle
+    # shares no code with either route.
+    for n in range(1, 7):
+        for eps in all_epsilons(n):
+            for order in all_perms(range(n)):
+                expected = cb.tree_from_permutation(trees._ranking(order), eps).flat
+                assert trees._tree_from_order(order, eps).flat == expected
+    rng = random.Random(2525)
+    for n in (256, 5000):
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        order = rng.sample(range(n), n)
+        sigma = trees._ranking(order)
+        flat = trees._tree_from_order(order, eps).flat
+        assert flat == cb.tree_from_permutation(sigma, eps).flat
+        assert flat == tree_from_permutation_by_segments(sigma, eps).flat
 
 
 _NOT_SIGNS = "sign sequence entries must be +-1, got "
@@ -646,8 +665,14 @@ def test_gravity_walk_around_a_cycle_is_not_a_tree():
 
 
 def test_binary_tree_catalog_counts():
-    for n in range(6):
+    for n in (*range(6), 12):
         assert len(cb.binary_trees(n)) == cb.catalan(n)
+
+
+def test_binary_trees_match_the_recursive_definition():
+    for n in range(10):
+        assert cb.binary_trees(n) == binary_trees_by_recursion(n), n
+    assert cb.binary_trees(-1) == []
 
 
 # ---------------------------------------------------------------------------
