@@ -39,15 +39,16 @@ from .errors import (
     VerificationFailed,
 )
 from .exchange import _times_euler, f_lift, quiver
-from .regions import CMatrix, RegionPoint, as_region_point, c_matrix
+from .regions import CMatrix, RegionPoint, _height_order, as_region_point, c_matrix
 from .roots import Root, root_from_vector
 from .trees import (
     MixedCobinaryTree,
     Permutation,
     _ranking,
+    _tree_from_order,
     as_sign_sequence,
+    initial_tree,
     smallest_first_order,
-    tree_from_permutation,
 )
 
 
@@ -143,11 +144,12 @@ def _name_failure(vt_e: linalg.IntMatrix) -> NoReturn:
 def _rebuild(
     lifts: Sequence[Sequence[int]], eps: tuple[int, ...]
 ) -> tuple[tuple[int, ...], Permutation, MixedCobinaryTree]:
-    """The sum of the lifts, its first ranking, and the tree it realizes."""
+    """The sum of the lifts, its first ranking, and the tree it realizes,
+    from one sort of the sum with no tie scan: sums may tie, and ties rank
+    by ascending index, as in _tied_rankings(total, 1)[0]."""
     total = tuple(map(sum, zip(*lifts)))
-    # A stable sort ranks ties by ascending index: _tied_rankings(total, 1)[0].
-    ranking = _ranking(sorted(range(len(total)), key=total.__getitem__))
-    return total, ranking, tree_from_permutation(ranking, eps)
+    order = _height_order(total, scan_ties=False)
+    return total, _ranking(order), _tree_from_order(order, eps)
 
 
 def cluster_to_tree_work(
@@ -158,9 +160,9 @@ def cluster_to_tree_work(
     Each column is looked up in the sign sequence's table of almost
     positive roots (exchange.quiver), which holds its row of V^t E and
     that row's lift through f_lift shifted to minimum 0 (a cut indicator);
-    a column outside the table is no cluster's.  The lifts are summed and
-    the sum is ranked, ascending index on ties, into the permutation that
-    rebuilds the tree.
+    a column outside the table is no cluster's.  The lifts are summed (to
+    (0,) at n = 1) and the sum is sorted, ascending index on ties, into the
+    order that rebuilds the tree.
     Edge k is the one edge that crosses cut k, and V^t E C(T) = I is
     certified by telescoping.
     """
@@ -169,8 +171,7 @@ def cluster_to_tree_work(
     if n == 1:
         if cluster.columns:
             raise VerificationFailed("a single node pairs with the empty cluster")
-        tree = tree_from_permutation((1,), eps)
-        return BijectionWork((), (), (1,), (1,), tree)
+        return BijectionWork((), (), (0,), (1,), initial_tree(eps))
     if len(cluster.columns) != n - 1:
         raise ValueError(f"{n} nodes pair with clusters of {n - 1} columns")
     tables = quiver(eps)

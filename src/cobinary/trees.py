@@ -502,8 +502,9 @@ def make_tree(
 
     Edges may be SignedEdge values (their labels are kept) or bare
     (p, q, slope) triples (labels are assigned in (p, q) order).  Validity
-    is checked operationally: the edge set must reproduce itself when the
-    tree is rebuilt from any one linear extension of its slope order.
+    is checked operationally: the edge set must reproduce itself when
+    :func:`_tree_from_order` rebuilds the tree from one linear extension of
+    its slope order (:func:`smallest_first_order`).
     """
     eps = as_sign_sequence(epsilon)
     edge_list = list(edges)
@@ -518,12 +519,12 @@ def make_tree(
     _check_spanning_tree(len(eps), edge_list)  # type: ignore[arg-type]
     tree = MixedCobinaryTree(len(eps), eps, tuple(edge_list))  # type: ignore[arg-type]
     _slot_table(tree)
-    sigma = linear_extension(tree)
-    rebuilt = tree_from_permutation(sigma, eps)
-    if rebuilt.triples != tree.triples:
+    order = smallest_first_order(range(1, tree.n + 1), tree.height_pairs())
+    rebuilt = _tree_from_order([v - 1 for v in order], eps)
+    if rebuilt != tree:
         raise WallViolation(
             "edge set admits no planar embedding: height order "
-            f"{sigma} reconstructs {rebuilt.triples} instead"
+            f"{linear_extension(tree)} reconstructs {rebuilt.triples} instead"
         )
     return tree
 

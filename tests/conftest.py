@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from itertools import combinations, product
 from typing import Iterable
 
 import pytest
@@ -83,6 +84,18 @@ def fan_tree() -> cb.MixedCobinaryTree:
 
 def all_epsilons(n: int):
     return list(cb.sign_sequences(n))
+
+
+def signed_edge_sets(n_max: int):
+    """Every set of n - 1 signed edges on distinct node pairs, for
+    2 <= n <= n_max and every sign sequence, as (p, q, slope) triples in
+    (p, q) order."""
+    for n in range(2, n_max + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for eps in all_epsilons(n):
+            for chosen in combinations(pairs, n - 1):
+                for slopes in product((1, -1), repeat=n - 1):
+                    yield eps, [(p, q, s) for (p, q), s in zip(chosen, slopes)]
 
 
 def sha256_lines(lines: Iterable[str]) -> str:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,7 @@ from conftest import (
     all_epsilons,
     cli_in_process,
     sha256_lines,
+    signed_edge_sets,
 )
 from oracles import (
     cluster_violation_by_matrix,
@@ -115,6 +117,14 @@ def test_single_node_pairs_with_empty_cluster():
         tree = cb.cluster_to_tree(cb.ClusterMatrix(()), eps)
         assert tree.n == 1
         assert cb.tree_to_cluster(tree).columns == ()
+        # The sum of no lifted rows is the zero vector, as the sum vector
+        # has minimum 0 for every n.
+        work = cb.cluster_to_tree_work(cb.ClusterMatrix(()), eps)
+        assert (work.vt_e_rows, work.lifted_rows) == ((), ())
+        assert work.sum_vector == (0,)
+        assert work.ranking == (1,)
+        assert work.tied_rankings == ((1,),)
+        assert work.tree == tree == cb.initial_tree(eps)
 
 
 def test_non_cluster_input_fails_verification():
@@ -507,18 +517,18 @@ def test_bijection_suite_consults_the_gauss_jordan_oracle(monkeypatch):
     assert verify.suite_bijection(eps, 6, 10, 0).passed
 
     def swap_first_two_labels(cluster, epsilon):
-        tree = cb.cluster_to_tree(cluster, epsilon)
-        triples = [e.triple for e in tree.edges]
-        return tree.relabelled([triples[1], triples[0], *triples[2:]])
+        work = cb.cluster_to_tree_work(cluster, epsilon)
+        triples = [e.triple for e in work.tree.edges]
+        return replace(work, tree=work.tree.relabelled([triples[1], triples[0], *triples[2:]]))
 
-    monkeypatch.setattr(verify, "cluster_to_tree", swap_first_two_labels)
+    monkeypatch.setattr(correspondence, "cluster_to_tree_work", swap_first_two_labels)
     assert not verify.suite_bijection(eps, 6, 10, 0).passed
 
 
 def _first_two_labels_swapped(cluster, epsilon):
-    tree = cb.cluster_to_tree(cluster, epsilon)
-    triples = [e.triple for e in tree.edges]
-    return tree.relabelled([triples[1], triples[0], *triples[2:]])
+    work = cb.cluster_to_tree_work(cluster, epsilon)
+    triples = [e.triple for e in work.tree.edges]
+    return replace(work, tree=work.tree.relabelled([triples[1], triples[0], *triples[2:]]))
 
 
 def _first_two_columns_swapped(tree):
@@ -530,7 +540,7 @@ def test_the_bijection_suite_compares_the_way_back_exactly(monkeypatch):
     # The tree is right, so the oracle passes; the cluster it re-encodes to
     # has the right columns in the wrong order.
     eps = (1, -1, -1, 1, -1)
-    monkeypatch.setattr(verify, "tree_to_cluster", _first_two_columns_swapped)
+    monkeypatch.setattr(correspondence, "tree_to_cluster", _first_two_columns_swapped)
     assert not verify.suite_bijection(eps, 6, 10, 0).passed
 
 
@@ -541,16 +551,16 @@ def test_a_label_swap_undone_on_the_way_back_is_caught_only_by_the_oracle(
     # still re-encodes to its cluster exactly, so the exact comparison
     # passes, and only the Gauss-Jordan c-matrix of the cluster sees it.
     eps = (1, -1, -1, 1, -1)
-    monkeypatch.setattr(verify, "cluster_to_tree", _first_two_labels_swapped)
-    monkeypatch.setattr(verify, "tree_to_cluster", _first_two_columns_swapped)
+    monkeypatch.setattr(correspondence, "cluster_to_tree_work", _first_two_labels_swapped)
+    monkeypatch.setattr(correspondence, "tree_to_cluster", _first_two_columns_swapped)
     for cluster in cb.enumerate_clusters(eps):
-        tree = verify.cluster_to_tree(cluster, eps)
-        assert verify.tree_to_cluster(tree) == cluster
+        tree = correspondence.cluster_to_tree_work(cluster, eps).tree
+        assert correspondence.tree_to_cluster(tree) == cluster
         assert cb.c_matrix(tree) != cb.classical_c_matrix(cluster, eps)
     assert not verify.suite_bijection(eps, 6, 10, 0).passed
 
     def c_matrix_of_the_mutant(cluster, epsilon):
-        return cb.c_matrix(verify.cluster_to_tree(cluster, epsilon))
+        return cb.c_matrix(correspondence.cluster_to_tree_work(cluster, epsilon).tree)
 
     monkeypatch.setattr(verify, "classical_c_matrix", c_matrix_of_the_mutant)
     assert verify.suite_bijection(eps, 6, 10, 0).passed
@@ -559,16 +569,11 @@ def test_a_label_swap_undone_on_the_way_back_is_caught_only_by_the_oracle(
 def _rejected_edge_sets(n_max):
     """Every set of n - 1 signed edges on distinct node pairs, n <= n_max and
     every sign sequence, that make_tree rejects, labelled in (p, q) order."""
-    for n in range(2, n_max + 1):
-        pairs = list(combinations(range(1, n + 1), 2))
-        for eps in all_epsilons(n):
-            for chosen in combinations(pairs, n - 1):
-                for slopes in product((1, -1), repeat=n - 1):
-                    triples = [(p, q, s) for (p, q), s in zip(chosen, slopes)]
-                    try:
-                        cb.make_tree(eps, triples)
-                    except cb.CobinaryError:
-                        yield eps, triples
+    for eps, triples in signed_edge_sets(n_max):
+        try:
+            cb.make_tree(eps, triples)
+        except cb.CobinaryError:
+            yield eps, triples
 
 
 def test_tree_to_cluster_rejects_every_edge_set_that_is_not_a_tree():

@@ -150,3 +150,19 @@ def test_every_public_method_has_a_caller_or_a_reason():
     listed = set(_listed("Methods and properties that the library does not call"))
     assert sorted(uncalled - listed) == []
     assert sorted(listed - uncalled) == []
+
+
+def test_only_the_cli_and_the_suites_read_a_ranking_into_a_tree():
+    # One route from a height order to a tree: a library caller that holds
+    # a bottom-up order hands it to trees._tree_from_order, so the ranking
+    # reader tree_from_permutation serves only `trees from-perm` and the
+    # suites that draw or test rankings.
+    callers = {
+        path.name
+        for path in Path(cb.__file__).parent.glob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "tree_from_permutation"
+    }
+    assert sorted(callers) == ["cli.py", "verify.py"]

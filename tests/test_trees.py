@@ -28,6 +28,7 @@ from conftest import (
     all_epsilons,
     guarded,
     sha256_lines,
+    signed_edge_sets,
 )
 from oracles import binary_trees_by_recursion, tree_from_permutation_by_segments
 
@@ -189,6 +190,28 @@ NOT_SIGNED_EDGES = [
 def test_raw_constructor_requires_signed_edges(n, edges):
     with pytest.raises(TypeError, match=r"^edges must be SignedEdge values, got "):
         cb.MixedCobinaryTree(n, (1,) * n, edges)
+
+
+def _make_tree_outcomes():
+    """make_tree on every set of n - 1 signed edges on distinct node pairs,
+    every sign sequence with n <= 4: "ok", or the exception's exact type and
+    message."""
+    for eps, triples in signed_edge_sets(4):
+        try:
+            cb.make_tree(eps, triples)
+            outcome = "ok"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        yield f"{eps} {triples} {outcome}"
+
+
+def test_make_tree_outcomes_are_pinned():
+    # Taken before make_tree rebuilt its tree straight from the height order.
+    lines = list(_make_tree_outcomes())
+    assert len(lines) == 2664
+    assert sha256_lines(lines) == (
+        "ec8701679addb19e69d4635f60691c232c1bf6a91159c48413cae660e61b1b2d"
+    )
 
 
 def test_make_tree_valid_full_example():
