@@ -39,7 +39,7 @@ from .errors import (
     VerificationFailed,
 )
 from .exchange import _times_euler, f_lift, quiver
-from .regions import CMatrix, RegionPoint, _height_order, as_region_point, c_matrix
+from .regions import CMatrix, RegionPoint, as_region_point, c_matrix
 from .roots import Root, root_from_vector
 from .trees import (
     MixedCobinaryTree,
@@ -144,11 +144,10 @@ def _name_failure(vt_e: linalg.IntMatrix) -> NoReturn:
 def _rebuild(
     lifts: Sequence[Sequence[int]], eps: tuple[int, ...]
 ) -> tuple[tuple[int, ...], Permutation, MixedCobinaryTree]:
-    """The sum of the lifts, its first ranking, and the tree it realizes,
-    from one sort of the sum with no tie scan: sums may tie, and ties rank
-    by ascending index, as in _tied_rankings(total, 1)[0]."""
+    """The sum of the lifts, its first ranking, and the tree it realizes."""
     total = tuple(map(sum, zip(*lifts)))
-    order = _height_order(total, scan_ties=False)
+    # A stable sort ranks ties by ascending index: _tied_rankings(total, 1)[0].
+    order = sorted(range(len(total)), key=total.__getitem__)
     return total, _ranking(order), _tree_from_order(order, eps)
 
 

@@ -139,14 +139,14 @@ def _contains(tree: MixedCobinaryTree, x: Sequence, strict: bool = True) -> bool
     return True
 
 
-def _height_order(keys: Sequence, scan_ties: bool = True) -> list[int]:
-    """The positions 0..n-1 of keys listed from the lowest up, ties by
-    ascending position: the one sort, shared by :func:`rank_permutation`,
-    :func:`locate_tree` and `correspondence._rebuild`.  With `scan_ties`, a
-    tie raises TiedCoordinates; callers turn the scan off for keys shown
-    distinct already, or to rank ties by position."""
+def _height_order(keys: Sequence, distinct: bool = False) -> list[int]:
+    """The positions 0..n-1 of keys listed from the lowest up: the one sort
+    of a point, shared by :func:`rank_permutation` and :func:`locate_tree`.
+    Each adjacent pair of the order is scanned for a tie, which raises
+    TiedCoordinates, unless the caller has shown the keys pairwise
+    distinct already (`distinct`)."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    if scan_ties:
+    if not distinct:
         for a, b in zip(order, order[1:]):
             if keys[a] == keys[b]:
                 raise TiedCoordinates(
@@ -194,7 +194,7 @@ def locate_tree(x: Sequence, epsilon: Sequence[int]) -> MixedCobinaryTree:
     if len(point) != len(epsilon):
         raise ValueError("point and sign sequence must have equal length")
     keyed = _sort_keys(point)
-    order = _height_order(keyed, scan_ties=type(keyed) is tuple)
+    order = _height_order(keyed, distinct=type(keyed) is list)
     tree = _tree_from_order(order, as_sign_sequence(epsilon))
     if not _contains(tree, keyed):
         k, p, q, slope = next(

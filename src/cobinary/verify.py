@@ -19,7 +19,11 @@ from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .clusters import classical_c_matrix, enumerate_clusters
-from .correspondence import bijection_report, wall_stability_point
+from .correspondence import (
+    tree_to_cluster,
+    cluster_to_tree,
+    wall_stability_point,
+)
 from .exchange import exchange_matrix, fz_mutate, x_matrix
 from .regions import _contains, _sort_keys, c_matrix, locate_tree, mutate, region_contains
 from .roots import interval_vector
@@ -141,17 +145,21 @@ def suite_clusters(eps, n_max, samples, seed) -> SuiteResult:
 
 
 def suite_bijection(eps, n_max, samples, seed) -> SuiteResult:
-    report = bijection_report(eps)
     trees = set(enumerate_trees(eps))
+    clusters = enumerate_clusters(eps)
+    ok = len(trees) == len(clusters)
     # The Gauss-Jordan c-matrix is the independent oracle, on a seeded sample.
-    oracle = _rng(seed, "bijection").sample(report, min(50, len(report)))
-    ok = (
-        len(trees) == len(report)
-        and all(entry["verified"] for entry in report)
-        and all(e["c_matrix"] == classical_c_matrix(e["cluster"], eps) for e in oracle)
-        and {entry["tree"] for entry in report} == trees
-    )
-    return SuiteResult("bijection", ok, f"pairs={len(report)}")
+    rng = _rng(seed, "bijection")
+    oracle = set(rng.sample(range(len(clusters)), min(50, len(clusters))))
+    mapped = set()
+    for i, cluster in enumerate(clusters):
+        tree = cluster_to_tree(cluster, eps)
+        ok = ok and tree_to_cluster(tree) == cluster
+        if i in oracle:
+            ok = ok and c_matrix(tree) == classical_c_matrix(cluster, eps)
+        mapped.add(tree)
+    ok = ok and mapped == trees
+    return SuiteResult("bijection", ok, f"pairs={len(clusters)}")
 
 
 def _edge_masks(trees: Sequence[MixedCobinaryTree]) -> dict[EdgeTriple, int]:

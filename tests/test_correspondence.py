@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -517,18 +516,18 @@ def test_bijection_suite_consults_the_gauss_jordan_oracle(monkeypatch):
     assert verify.suite_bijection(eps, 6, 10, 0).passed
 
     def swap_first_two_labels(cluster, epsilon):
-        work = cb.cluster_to_tree_work(cluster, epsilon)
-        triples = [e.triple for e in work.tree.edges]
-        return replace(work, tree=work.tree.relabelled([triples[1], triples[0], *triples[2:]]))
+        tree = cb.cluster_to_tree(cluster, epsilon)
+        triples = [e.triple for e in tree.edges]
+        return tree.relabelled([triples[1], triples[0], *triples[2:]])
 
-    monkeypatch.setattr(correspondence, "cluster_to_tree_work", swap_first_two_labels)
+    monkeypatch.setattr(verify, "cluster_to_tree", swap_first_two_labels)
     assert not verify.suite_bijection(eps, 6, 10, 0).passed
 
 
 def _first_two_labels_swapped(cluster, epsilon):
-    work = cb.cluster_to_tree_work(cluster, epsilon)
-    triples = [e.triple for e in work.tree.edges]
-    return replace(work, tree=work.tree.relabelled([triples[1], triples[0], *triples[2:]]))
+    tree = cb.cluster_to_tree(cluster, epsilon)
+    triples = [e.triple for e in tree.edges]
+    return tree.relabelled([triples[1], triples[0], *triples[2:]])
 
 
 def _first_two_columns_swapped(tree):
@@ -540,7 +539,7 @@ def test_the_bijection_suite_compares_the_way_back_exactly(monkeypatch):
     # The tree is right, so the oracle passes; the cluster it re-encodes to
     # has the right columns in the wrong order.
     eps = (1, -1, -1, 1, -1)
-    monkeypatch.setattr(correspondence, "tree_to_cluster", _first_two_columns_swapped)
+    monkeypatch.setattr(verify, "tree_to_cluster", _first_two_columns_swapped)
     assert not verify.suite_bijection(eps, 6, 10, 0).passed
 
 
@@ -551,16 +550,16 @@ def test_a_label_swap_undone_on_the_way_back_is_caught_only_by_the_oracle(
     # still re-encodes to its cluster exactly, so the exact comparison
     # passes, and only the Gauss-Jordan c-matrix of the cluster sees it.
     eps = (1, -1, -1, 1, -1)
-    monkeypatch.setattr(correspondence, "cluster_to_tree_work", _first_two_labels_swapped)
-    monkeypatch.setattr(correspondence, "tree_to_cluster", _first_two_columns_swapped)
+    monkeypatch.setattr(verify, "cluster_to_tree", _first_two_labels_swapped)
+    monkeypatch.setattr(verify, "tree_to_cluster", _first_two_columns_swapped)
     for cluster in cb.enumerate_clusters(eps):
-        tree = correspondence.cluster_to_tree_work(cluster, eps).tree
-        assert correspondence.tree_to_cluster(tree) == cluster
+        tree = verify.cluster_to_tree(cluster, eps)
+        assert verify.tree_to_cluster(tree) == cluster
         assert cb.c_matrix(tree) != cb.classical_c_matrix(cluster, eps)
     assert not verify.suite_bijection(eps, 6, 10, 0).passed
 
     def c_matrix_of_the_mutant(cluster, epsilon):
-        return cb.c_matrix(correspondence.cluster_to_tree_work(cluster, epsilon).tree)
+        return cb.c_matrix(verify.cluster_to_tree(cluster, epsilon))
 
     monkeypatch.setattr(verify, "classical_c_matrix", c_matrix_of_the_mutant)
     assert verify.suite_bijection(eps, 6, 10, 0).passed

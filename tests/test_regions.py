@@ -177,7 +177,7 @@ def test_located_tree_is_checked(monkeypatch):
 def test_located_tree_is_checked_against_a_wrong_ranking(monkeypatch):
     monkeypatch.setattr(
         "cobinary.regions._height_order",
-        lambda keys, scan_ties=True: list(range(len(keys))),
+        lambda keys, distinct=False: list(range(len(keys))),
     )
     with pytest.raises(cb.VerificationFailed, match="misses x"):
         cb.locate_tree((2, 1, 5, 4, 3), CLU_EPS)
