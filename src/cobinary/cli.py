@@ -255,7 +255,7 @@ def _cmd_bij_all(args) -> int:
             {
                 "tree": serialize.tree_to_obj(entry["tree"]),
                 "cluster": serialize.cluster_to_obj(entry["cluster"]),
-                "c_matrix": serialize.cmatrix_to_obj(entry["c_matrix"]),
+                "c_matrix": serialize.cmatrix_to_obj(c_matrix(entry["tree"])),
                 "verified": entry["verified"],
             }
             for entry in report

@@ -275,7 +275,8 @@ def wall_stability_point(
 
 
 def bijection_report(epsilon: Sequence[int]) -> list[dict]:
-    """Pair every cluster with its tree and certify the pairing."""
+    """Pair every cluster with its tree and certify the pairing: one entry
+    per cluster, holding the cluster, its tree and the verdict."""
     eps = as_sign_sequence(epsilon)
     report = []
     for cluster in enumerate_clusters(eps):
@@ -284,7 +285,6 @@ def bijection_report(epsilon: Sequence[int]) -> list[dict]:
             {
                 "cluster": cluster,
                 "tree": work.tree,
-                "c_matrix": work.c_matrix,  # equals classical_c_matrix(cluster, eps)
                 "verified": tree_to_cluster(work.tree) == cluster,
             }
         )

@@ -34,7 +34,6 @@ from .trees import (
 )
 
 RegionPoint = tuple[Fraction, ...]
-_EXACT_TYPES = frozenset((int, Fraction))
 # _floors scales by 2**_KEY_BITS before taking the floor.  A plain floor
 # would leave every coordinate of a point in [0, 1) tied on its integer
 # part, and a tie sends the whole point to the slower (int, Fraction) pairs.
@@ -115,16 +114,12 @@ def region_contains(
     tree: MixedCobinaryTree, x: Sequence, strict: bool = True
 ) -> bool:
     """Whether x satisfies every edge inequality slope*(x_q - x_p) > 0
-    (>= 0 for the closed region when strict is False).  A coordinate that
-    is not an int or a Fraction is read through :func:`as_region_point`, so
-    a float, a bool or a string that is not a rational raises ValueError."""
+    (>= 0 for the closed region when strict is False).  The point is read
+    through :func:`as_region_point`, so a float, a bool or a string that is
+    not a rational raises ValueError."""
     if len(x) != tree.n:
         raise ValueError(f"point has length {len(x)}, tree has {tree.n} nodes")
-    # Ints and Fractions are exact as they are; converting ints to Fractions
-    # would only make each comparison slower.
-    if not _EXACT_TYPES.issuperset(map(type, x)):
-        x = as_region_point(x)
-    return _contains(tree, x, strict)
+    return _contains(tree, as_region_point(x), strict)
 
 
 def _contains(tree: MixedCobinaryTree, x: Sequence, strict: bool = True) -> bool:

@@ -322,11 +322,8 @@ def _tree_from_order(order: Iterable[int], eps: SignSequence) -> MixedCobinaryTr
     """
     n = len(eps)
     walls = [0, *[k for k, s in zip(range(1, n + 1), eps) if s == 1], n + 1]
-    # The pass by height keeps edge (p, q, slope) as p*m + 2q + [slope = 1],
-    # so that the codes sort as the triples do.
     owner = [0] * (n + 2)
-    m = 2 * n + 2
-    codes = []
+    edges = []
     for k in order:
         k += 1
         i = bisect_left(walls, k)
@@ -335,22 +332,19 @@ def _tree_from_order(order: Iterable[int], eps: SignSequence) -> MixedCobinaryTr
         if eps[k - 1] == 1:
             del walls[i]
             if child:
-                codes.append(child * m + 2 * k + 1)
+                edges.append((child, k, 1))
             child = owner[k]
             if child:
-                codes.append(k * m + 2 * child)
+                edges.append((k, child, -1))
             owner[w] = k
         else:
             walls.insert(i, k)
             if child:
-                codes.append(child * m + 2 * k + 1 if child < k else k * m + 2 * child)
+                edges.append((child, k, 1) if child < k else (k, child, -1))
             owner[w] = owner[k] = k
-    codes.sort()
-    flat = []
-    for code in codes:
-        flat += (code // m, code % m >> 1, 1 if code & 1 else -1)
+    edges.sort()
     tree = object.__new__(MixedCobinaryTree)
-    tree._store(eps, flat)
+    tree._store(eps, chain.from_iterable(edges))
     return tree
 
 

@@ -338,6 +338,7 @@ def _solve_in_basis(cluster: cb.ClusterMatrix, z):
 def test_bijection_report_is_fully_verified():
     report = cb.bijection_report((-1, 1, -1, 1))
     assert len(report) == 14
+    assert all(entry.keys() == {"cluster", "tree", "verified"} for entry in report)
     assert all(entry["verified"] for entry in report)
     trees = {entry["tree"] for entry in report}
     assert trees == set(cb.enumerate_trees((-1, 1, -1, 1)))

@@ -343,6 +343,29 @@ def test_region_membership_accepts_rational_strings():
     assert not cb.region_contains(tree, ("1/5", "1/10", 3))
 
 
+@pytest.mark.parametrize(
+    "x, inside",
+    [
+        ((1, 2, 3), True),
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)), False),
+        ((1, Fraction(3, 2), "7/4"), True),
+    ],
+    ids=repr,
+)
+def test_region_membership_reads_every_point_once(x, inside, monkeypatch):
+    # Ints, Fractions and strings alike go through the one rational reader.
+    calls = []
+    real = regions.as_region_point
+
+    def counted(coords):
+        calls.append(coords)
+        return real(coords)
+
+    monkeypatch.setattr(regions, "as_region_point", counted)
+    assert cb.region_contains(cb.initial_tree((1, 1, 1)), x) is inside
+    assert calls == [x]
+
+
 # ---------------------------------------------------------------------------
 # mutation
 # ---------------------------------------------------------------------------

@@ -295,13 +295,19 @@ def test_builder_from_an_order_matches_the_permutation_route():
         for eps in all_epsilons(n):
             for order in all_perms(range(n)):
                 expected = cb.tree_from_permutation(trees._ranking(order), eps).flat
-                assert trees._tree_from_order(order, eps).flat == expected
+                tree = trees._tree_from_order(order, eps)
+                assert tree.flat == expected
+                # The builder labels edges in (p, q) order, so the identity
+                # key shares the flat tuple.
+                assert tree.canonical_key[2] is tree.flat
     rng = random.Random(2525)
     for n in (256, 5000):
         eps = tuple(rng.choice((1, -1)) for _ in range(n))
         order = rng.sample(range(n), n)
         sigma = trees._ranking(order)
-        flat = trees._tree_from_order(order, eps).flat
+        tree = trees._tree_from_order(order, eps)
+        flat = tree.flat
+        assert tree.canonical_key[2] is flat
         assert flat == cb.tree_from_permutation(sigma, eps).flat
         assert flat == tree_from_permutation_by_segments(sigma, eps).flat
 
